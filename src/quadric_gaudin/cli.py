@@ -2,20 +2,17 @@
 
 Reports are JSON lines; identical configuration (including seed) produces
 byte-identical output.  Exit codes: 0 all checks pass, 2 verification
-failure, 64 usage error.  QG_THREADS caps the worker pool for independent
-trials (results are re-ordered by trial index before emission).
+failure, 64 usage error.  Trials run one after another, in trial order.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .scalars import gr
+from .scalars import as_complex, gr, negligible, total
 from .phase import (
     Pencil,
     PhasePoint,
@@ -96,21 +93,6 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("QG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_trials(worker, trials: int):
-    size = _pool_size()
-    if size == 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=size) as ex:
-        return list(ex.map(worker, range(trials)))
-
-
 def _trial_point(args, trial: int) -> PhasePoint:
     seed = args.seed + trial
     if args.mu is not None:
@@ -142,15 +124,14 @@ def cmd_sample(args) -> int:
         raise _UsageError("N must be at least 5")
     if args.trials < 1:
         raise _UsageError("trials must be positive")
-
-    def worker(trial):
+    lines = []
+    for trial in range(args.trials):
         pt = _trial_point(args, trial)
         doc = point_to_json(pt)
         doc["trial"] = trial
         doc["constraint_residuals"] = [scalar_to_json(r) for r in pt.constraint_residuals()]
-        return dumps(doc)
-
-    _emit(_run_trials(worker, args.trials), args.out)
+        lines.append(dumps(doc))
+    _emit(lines, args.out)
     return EXIT_OK
 
 
@@ -174,19 +155,12 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
     N = pt.pencil.N
     exact = pt.exact
 
-    def zero(v):
-        if exact:
-            return v.is_zero()
-        from .scalars import as_complex
-
-        return abs(as_complex(v)) <= tol
-
     brackets_ok = True
     for i, j in itertools.combinations(range(N), 2):
         b = poisson_bracket(pt, i, j)
         if fault == "delta-sign":
-            b = b + gr(1) if exact else b + 1.0
-        if not zero(b):
+            b = b + 1
+        if not negligible(b, tol):
             brackets_ok = False
             results.append(("poisson-bracket", False, f"{{f_{i + 1}, f_{j + 1}}} != 0"))
             break
@@ -196,27 +170,27 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
     f = hamiltonians(pt)
     mu = pt.pencil.mu
     mom = [
-        sum(f[1:], f[0]),
-        sum((mu[i] * f[i] for i in range(1, N)), mu[0] * f[0]),
-        sum((mu[i] * mu[i] * f[i] for i in range(1, N)), mu[0] * mu[0] * f[0]),
+        total(f),
+        total(m * fi for m, fi in zip(mu, f)),
+        total(m * m * fi for m, fi in zip(mu, f)),
     ]
-    results.append(("hamiltonian-moments", all(zero(v) for v in mom), ""))
+    results.append(("hamiltonian-moments", all(negligible(v, tol) for v in mom), ""))
 
     triple = hecke_transform(pt)
     rq = reduced_tr_phi_squared(pt, check_samples=False)
     pd = pt.pencil.vanishing_poly()
     spectral = triple.spectral()
     iden = spectral + pd * rq.h
-    if exact:
-        hecke_ok = iden.is_zero()
-    else:
+    scale = 1.0
+    if not exact:
         # backward-stable scale: pre-cancellation coefficient mass of the terms
         mass = (
             triple.b.coeff_scale() ** 2
             + triple.a.coeff_scale() * triple.c.coeff_scale()
             + pd.coeff_scale() * rq.h.coeff_scale()
         ) * (pt.pencil.N + 1)
-        hecke_ok = all(abs(c) <= tol * max(1.0, mass) for c in iden.coeffs)
+        scale = max(1.0, mass)
+    hecke_ok = all(negligible(c, tol, scale) for c in iden.coeffs)
     degs_ok = (
         triple.c.degree <= pt.pencil.n
         and triple.b.degree <= pt.pencil.n + 1
@@ -230,12 +204,8 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
     for z in zs:
         a = spectral(z) + spectral(z)
         b = pd(z) * pd(z) * phi.trace_squared_at(z)
-        diff = a - b
-        if exact:
-            ok = diff.is_zero()
-        else:
-            from .scalars import as_complex
-
+        scale = 1.0
+        if not exact:
             # condition-aware scale: |pd(z)|^2 times the uncancelled residue mass
             mass = sum(
                 (abs(as_complex(pt.x[i])) ** 2 + abs(as_complex(pt.y[i])) ** 2)
@@ -243,14 +213,13 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
                 for i in range(N)
             )
             scale = max(1.0, abs(as_complex(pd(z))) ** 2 * mass**2)
-            ok = abs(as_complex(diff)) <= tol * scale
-        if not ok:
+        if not negligible(a - b, tol, scale):
             tr_ok = False
     results.append(("trace-squared-identity", tr_ok, ""))
 
     z = zs[0]
     defect = skew_adjoint_defect(pt, z)
-    skew_ok = all(zero(v) for row in defect.rows for v in row)
+    skew_ok = all(negligible(v, tol) for row in defect.rows for v in row)
     rank, _ = rank_and_kernel_of_A(pt, z, tol=tol)
     probe = trivial_subbundle_probe(pt)
     eq = verify_equivalence(pt, zs)
@@ -265,46 +234,16 @@ def cmd_verify(args) -> int:
         raise _UsageError("N must be at least 5")
     lines = []
     failures = []
-
-    def worker(trial):
+    for trial in range(args.trials):
         pt = _trial_point(args, trial)
-        return trial, _verify_one_point(pt, args.tol, args.inject_fault)
-
-    for trial, results in sorted(_run_trials(worker, args.trials)):
-        for name, ok, detail in results:
+        for name, ok, detail in _verify_one_point(pt, args.tol, args.inject_fault):
             lines.append(dumps({"check": name, "trial": trial, "pass": ok, "detail": detail}))
             if not ok:
                 failures.append((name, trial, detail))
 
     if not args.skip_operators:
-        from .diffops import (
-            verify_commutation,
-            verify_delta_q1,
-            verify_descent_suite,
-            verify_kohno_drinfeld,
-        )
-
-        mu = (
-            _parse_mu(args.mu, "exact")
-            if args.mu is not None
-            else [gr(k) for k in range(args.n)]
-        )
-        pencil = Pencil(mu)
-        reports = verify_kohno_drinfeld(args.n, args.dmax)
-        reports.append(verify_commutation(args.n, pencil, args.dmax))
-        reports.append(verify_descent_suite(args.n, pencil))
-        reports.append(verify_delta_q1(pencil))
-        for rep in reports:
-            lines.append(
-                dumps(
-                    {
-                        "check": rep.name,
-                        "pass": rep.passed,
-                        "cases": rep.cases_checked,
-                        "detail": rep.first_counterexample or "",
-                    }
-                )
-            )
+        for rep in _operator_reports(args, symbol=False):
+            lines.append(_report_line(rep))
             if not rep.passed:
                 failures.append((rep.name, -1, rep.first_counterexample))
 
@@ -315,6 +254,39 @@ def cmd_verify(args) -> int:
     lines.append(dumps(summary))
     _emit(lines, args.out)
     return EXIT_OK if not failures else EXIT_VERIFICATION
+
+
+def _operator_reports(args, symbol: bool) -> list:
+    """The operator suites on the --mu pencil (default mu = 0..N-1) up to --dmax;
+    symbol adds the symbol-pairing suite.  dmax None keeps each suite's default."""
+    from .diffops import (
+        verify_commutation,
+        verify_delta_q1,
+        verify_descent_suite,
+        verify_kohno_drinfeld,
+        verify_symbol_pairing,
+    )
+
+    mu = _parse_mu(args.mu, "exact") if args.mu is not None else [gr(k) for k in range(args.n)]
+    pencil = Pencil(mu)
+    reports = verify_kohno_drinfeld(args.n, args.dmax)
+    reports.append(verify_commutation(args.n, pencil, args.dmax))
+    reports.append(verify_descent_suite(args.n, pencil, args.dmax))
+    reports.append(verify_delta_q1(pencil))
+    if symbol:
+        reports.append(verify_symbol_pairing(pencil, args.dmax))
+    return reports
+
+
+def _report_line(rep) -> str:
+    return dumps(
+        {
+            "check": rep.name,
+            "pass": rep.passed,
+            "cases": rep.cases_checked,
+            "detail": rep.first_counterexample or "",
+        }
+    )
 
 
 def cmd_classify(args) -> int:
@@ -381,39 +353,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_diffops_verify(args) -> int:
-    from .diffops import (
-        verify_commutation,
-        verify_delta_q1,
-        verify_descent_suite,
-        verify_kohno_drinfeld,
-        verify_symbol_pairing,
-    )
-
-    mu = (
-        _parse_mu(args.mu, "exact")
-        if args.mu is not None
-        else [gr(k) for k in range(args.n)]
-    )
-    pencil = Pencil(mu)
-    reports = verify_kohno_drinfeld(args.n, args.dmax)
-    reports.append(verify_commutation(args.n, pencil, args.dmax))
-    reports.append(verify_descent_suite(args.n, pencil))
-    reports.append(verify_delta_q1(pencil))
-    reports.append(verify_symbol_pairing(pencil))
-    lines = []
-    ok = True
-    for rep in reports:
-        lines.append(
-            dumps(
-                {
-                    "check": rep.name,
-                    "pass": rep.passed,
-                    "cases": rep.cases_checked,
-                    "detail": rep.first_counterexample or "",
-                }
-            )
-        )
-        ok = ok and rep.passed
+    reports = _operator_reports(args, symbol=True)
+    lines = [_report_line(rep) for rep in reports]
+    ok = all(rep.passed for rep in reports)
     lines.append(dumps({"summary": "ok" if ok else "failed"}))
     _emit(lines, args.out)
     return EXIT_OK if ok else EXIT_VERIFICATION
@@ -430,7 +372,6 @@ def cmd_orthomodel_verify(args) -> int:
         trivial_subbundle_probe,
         verify_equivalence,
     )
-    from .scalars import as_complex
 
     lines = []
     failures = 0
@@ -444,20 +385,12 @@ def cmd_orthomodel_verify(args) -> int:
         worst = 0.0
         skew_ok = ax_ok = rank_ok = True
         for z in zs:
-            defect = skew_adjoint_defect(pt, z)
-            if pt.exact:
-                skew_ok = skew_ok and all(v.is_zero() for row in defect.rows for v in row)
-            else:
-                m = max(abs(as_complex(v)) for row in defect.rows for v in row)
-                worst = max(worst, m)
-                skew_ok = skew_ok and m <= args.tol
+            defect = [v for row in skew_adjoint_defect(pt, z).rows for v in row]
             ax = build_A(pt, z).matvec(list(pt.x))
-            if pt.exact:
-                ax_ok = ax_ok and all(v.is_zero() for v in ax)
-            else:
-                m = max(abs(as_complex(v)) for v in ax)
-                worst = max(worst, m)
-                ax_ok = ax_ok and m <= args.tol * 10
+            skew_ok = skew_ok and all(negligible(v, args.tol) for v in defect)
+            ax_ok = ax_ok and all(negligible(v, args.tol, 10.0) for v in ax)
+            if not pt.exact:
+                worst = max(worst, *(abs(as_complex(v)) for v in defect + ax))
             rank, _ = rank_and_kernel_of_A(pt, z, tol=args.tol)
             rank_ok = rank_ok and rank <= 2
         probe = trivial_subbundle_probe(pt)

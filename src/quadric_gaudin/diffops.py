@@ -282,11 +282,11 @@ def verify_delta_q1(pencil: Pencil) -> RelationReport:
     return report
 
 
-def verify_symbol_pairing(pencil: Pencil, dmax: int = 2) -> RelationReport:
+def verify_symbol_pairing(pencil: Pencil, dmax: int | None = None) -> RelationReport:
     """The symbol of Delta_i contracted with dq1 dies on the intersection:
 
     -4 sum_{j != i} x_i x_j X_ij + 4 x_i^2 E = 4 q x_i d_i exactly,
-    hence 0 modulo q (E is the Euler operator).
+    hence 0 modulo q (E is the Euler operator).  dmax defaults to 2.
     """
     N = pencil.N
     report = RelationReport("symbol of Delta_i against dq1")
@@ -309,7 +309,7 @@ def verify_symbol_pairing(pencil: Pencil, dmax: int = 2) -> RelationReport:
             sqi[i] = 2
             return acc + E(f).mul_monomial(tuple(sqi), gr(4))
 
-        for m in monomials_up_to(N, dmax):
+        for m in monomials_up_to(N, 2 if dmax is None else dmax):
             got = op(m)
             exact_form = got - (q * m.diff(i).mul_monomial(tuple(ei))).scale(gr(4))
             report.check(f"exact form i={i} on {m!r}", exact_form)
@@ -335,7 +335,7 @@ def symbol_quadratic_form(i: int, point: PhasePoint) -> GaussianRational:
         {
             tuple(1 if k == l else 0 for k in range(N)): point.y[l]
             for l in range(N)
-            if not point.y[l].is_zero()
+            if point.y[l]
         },
     )
     lhs = apply_Delta(i, u * u, point.pencil) - (

@@ -22,9 +22,10 @@ Pinned normalizations (each certified exactly by the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .phase import PhasePoint, Pencil
-from .scalars import ZERO, as_complex, is_exact
+from .scalars import as_complex, close, gr, total
 from .unipoly import Polynomial
 
 Mat2 = tuple[tuple, tuple]
@@ -78,23 +79,16 @@ class HiggsField:
     def at(self, z) -> Mat2:
         mu = self.pencil.mu
         for i, m in enumerate(mu):
-            if _eq_scalar(z, m):
+            if z == m:
                 raise PoleEvaluationError(i)
-        acc = None
-        for i in range(self.pencil.N):
-            term = mat_scale(1 / (z - mu[i]), self.residue(i))
-            acc = term if acc is None else mat_add(acc, term)
-        return acc
+        return reduce(
+            mat_add,
+            (mat_scale(1 / (z - mu[i]), self.residue(i)) for i in range(self.pencil.N)),
+        )
 
     def trace_squared_at(self, z):
         m = self.at(z)
         return mat_trace(mat_mul(m, m))
-
-
-def _eq_scalar(a, b) -> bool:
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return as_complex(a) == as_complex(b)
 
 
 def build_phi(point: PhasePoint) -> HiggsField:
@@ -105,17 +99,12 @@ def hamiltonians(point: PhasePoint) -> list:
     """f_i = sum_{j != i} (x_i y_j - x_j y_i)^2 / (mu_i - mu_j); gauge invariant."""
     mu, x, y = point.pencil.mu, point.x, point.y
     N = point.pencil.N
-    out = []
-    for i in range(N):
-        acc = None
-        for j in range(N):
-            if j == i:
-                continue
-            w = x[i] * y[j] - x[j] * y[i]
-            t = (w * w) / (mu[i] - mu[j])
-            acc = t if acc is None else acc + t
-        out.append(acc if acc is not None else (ZERO if point.exact else 0j))
-    return out
+
+    def term(i, j):
+        w = x[i] * y[j] - x[j] * y[i]
+        return (w * w) / (mu[i] - mu[j])
+
+    return [total(term(i, j) for j in range(N) if j != i) for i in range(N)]
 
 
 @dataclass(frozen=True)
@@ -153,25 +142,19 @@ def _check_reduced_identity(point: PhasePoint, h: Polynomial) -> None:
     for z in samples:
         lhs = -phi.trace_squared_at(z) * pd(z)
         rhs = 2 * h(z)
-        if point.exact:
-            if not (lhs - rhs).is_zero():
-                raise AssertionError("tr Phi^2 partial-fraction identity failed")
-        else:
-            scale = max(1.0, abs(as_complex(lhs)), abs(as_complex(rhs)))
-            if abs(as_complex(lhs - rhs)) > 1e-8 * scale:
-                raise AssertionError("tr Phi^2 partial-fraction identity failed (float)")
+        scale = max(1.0, abs(as_complex(lhs)), abs(as_complex(rhs)))
+        if not close(lhs, rhs, 1e-8, scale):
+            raise AssertionError("tr Phi^2 partial-fraction identity failed")
 
 
 def off_pole_samples(pencil: Pencil, count: int):
     """Deterministic exact (or float) z values avoiding every marked point."""
     if pencil.exact:
-        from .scalars import gr
-
         out = []
         k = 0
         while len(out) < count:
             cand = gr(k * 2 + 1, 3)
-            if all(not (cand - m).is_zero() for m in pencil.mu):
+            if cand not in pencil.mu:
                 out.append(cand)
             k += 1
         return out
@@ -195,14 +178,9 @@ def infinity_expansion(point: PhasePoint) -> tuple[Mat2, Mat2]:
     phi1 e_2 || e_2 hold either way.
     """
     field = HiggsField(point)
-    mu = point.pencil.mu
-    phi0 = None
-    phi1 = None
-    for i in range(point.pencil.N):
-        r = field.residue(i)
-        phi0 = r if phi0 is None else mat_add(phi0, r)
-        t = mat_scale(mu[i], r)
-        phi1 = t if phi1 is None else mat_add(phi1, t)
+    rs = [field.residue(i) for i in range(point.pencil.N)]
+    phi0 = reduce(mat_add, rs)
+    phi1 = reduce(mat_add, (mat_scale(m, r) for m, r in zip(point.pencil.mu, rs)))
     return phi0, phi1
 
 
@@ -261,9 +239,8 @@ def hecke_transform(point: PhasePoint) -> HeckeTriple:
         a = _trim_float(a, n + 2)
         b = _trim_float(b, n + 1)
         c = _trim_float(c, n)
-    if point.exact:
-        if c.degree > n or b.degree > n + 1 or a.degree > n + 2:
-            raise AssertionError("Hecke degree bounds violated; point not constrained?")
+    elif c.degree > n or b.degree > n + 1 or a.degree > n + 2:
+        raise AssertionError("Hecke degree bounds violated; point not constrained?")
     return HeckeTriple(a=a, b=b, c=c)
 
 

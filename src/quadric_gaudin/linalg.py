@@ -10,7 +10,7 @@ reproducible normal form.
 
 from __future__ import annotations
 
-from .scalars import GaussianRational, ZERO, ONE, as_complex
+from .scalars import GaussianRational, as_complex, dot, one_like, zero_like
 
 
 class Matrix:
@@ -42,27 +42,19 @@ class Matrix:
     def matvec(self, v):
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        return [sum_product(row, v) for row in self.rows]
+        return [dot(row, v) for row in self.rows]
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         cols = list(zip(*other.rows))
-        return Matrix([[sum_product(r, c) for c in cols] for r in self.rows])
+        return Matrix([[dot(r, c) for c in cols] for r in self.rows])
 
     def to_float(self) -> "Matrix":
         return Matrix([[as_complex(v) for v in r] for r in self.rows])
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
-
-
-def sum_product(row, v):
-    acc = None
-    for a, b in zip(row, v):
-        ab = a * b
-        acc = ab if acc is None else acc + ab
-    return acc
 
 
 def _float_scale(rows) -> float:
@@ -85,9 +77,7 @@ def rref(m: Matrix, tol: float = 0.0) -> tuple[list[list], list[int]]:
         if r >= nr:
             break
         if exact:
-            pivot_row = next(
-                (i for i in range(r, nr) if not rows[i][c].is_zero()), None
-            )
+            pivot_row = next((i for i in range(r, nr) if rows[i][c]), None)
         else:
             best, best_val = None, threshold
             for i in range(r, nr):
@@ -97,13 +87,13 @@ def rref(m: Matrix, tol: float = 0.0) -> tuple[list[list], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = (ONE / rows[r][c]) if exact else (1.0 / rows[r][c])
+        inv = 1 / rows[r][c]
         rows[r] = [inv * v for v in rows[r]]
         for i in range(nr):
             if i == r:
                 continue
             f = rows[i][c]
-            if (exact and f.is_zero()) or (not exact and f == 0):
+            if not f:
                 continue
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -119,9 +109,7 @@ def rank_kernel(m: Matrix, tol: float = 1e-10) -> tuple[int, list[list]]:
     """
     rows, pivots = rref(m, tol=tol)
     rank = len(pivots)
-    exact = m.exact
-    zero = ZERO if exact else 0j
-    one = ONE if exact else 1.0 + 0j
+    zero, one = zero_like(m.rows[0][0]), one_like(m.rows[0][0])
     free = [c for c in range(m.ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -139,9 +127,7 @@ def solve(m: Matrix, rhs) -> list | None:
     rows, pivots = rref(aug)
     if aug.ncols - 1 in pivots:
         return None
-    exact = m.exact
-    zero = ZERO if exact else 0j
-    v = [zero] * m.ncols
+    v = [zero_like(m.rows[0][0])] * m.ncols
     for r_i, pc in enumerate(pivots):
         v[pc] = rows[r_i][-1]
     return v

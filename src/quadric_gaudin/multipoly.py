@@ -25,7 +25,7 @@ class MultiPoly:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError("exponent vector length mismatch")
-                if not c.is_zero():
+                if c:
                     clean[tuple(e)] = c
         self.terms = clean
 
@@ -91,7 +91,7 @@ class MultiPoly:
         for e, c in other.terms.items():
             s = out.get(e)
             s = c if s is None else s + c
-            if s.is_zero():
+            if not s:
                 out.pop(e, None)
             else:
                 out[e] = s
@@ -119,7 +119,7 @@ class MultiPoly:
                 c = c1 * c2
                 s = out.get(e)
                 s = c if s is None else s + c
-                if s.is_zero():
+                if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -130,7 +130,7 @@ class MultiPoly:
 
     def scale(self, c) -> "MultiPoly":
         c = c if isinstance(c, GaussianRational) else gr(c)
-        if c.is_zero():
+        if not c:
             return MultiPoly.zero(self.nvars)
         r = MultiPoly.__new__(MultiPoly)
         r.nvars = self.nvars
@@ -138,7 +138,7 @@ class MultiPoly:
         return r
 
     def mul_monomial(self, exps: tuple, c=ONE) -> "MultiPoly":
-        if c.is_zero():
+        if not c:
             return MultiPoly.zero(self.nvars)
         r = MultiPoly.__new__(MultiPoly)
         r.nvars = self.nvars
@@ -193,7 +193,7 @@ def weighted_quadric(mu) -> MultiPoly:
         e = [0] * n
         e[i] = 2
         m = mu[i] if isinstance(mu[i], GaussianRational) else gr(mu[i])
-        if not m.is_zero():
+        if m:
             terms[tuple(e)] = m
     return MultiPoly(n, terms)
 

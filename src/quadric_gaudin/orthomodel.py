@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .linalg import Matrix, rank_kernel
 from .phase import PhasePoint, Pencil
-from .scalars import as_complex, is_exact
+from .scalars import as_complex, close, dot, negligible, total
 
 
 class PencilForm:
@@ -36,23 +36,15 @@ class PencilForm:
         return [z - m for m in self.pencil.mu]
 
     def apply(self, z, u, w):
-        acc = None
-        for wt, ui, wi in zip(self.weights(z), u, w):
-            t = wt * ui * wi
-            acc = t if acc is None else acc + t
-        return acc
+        return total(wt * ui * wi for wt, ui, wi in zip(self.weights(z), u, w))
 
     def degenerate_at(self, z) -> bool:
-        return any(_is_zero(z - m) for m in self.pencil.mu)
-
-
-def _is_zero(v) -> bool:
-    return v.is_zero() if is_exact(v) else v == 0
+        return z in self.pencil.mu
 
 
 def _check_off_poles(pencil: Pencil, z):
     for i, m in enumerate(pencil.mu):
-        if _is_zero(z - m):
+        if z == m:
             raise ValueError(f"z collides with the pole mu_{i + 1}")
 
 
@@ -82,14 +74,8 @@ def skew_adjoint_defect(point: PhasePoint, z) -> Matrix:
 def lift_vz(v, point: PhasePoint, z):
     """v_z = (v_1/(z - mu_1), ..., v_N/(z - mu_N)) for v with sum v_i x_i = 0."""
     _check_off_poles(point.pencil, z)
-    dot = None
-    for vi, xi in zip(v, point.x):
-        t = vi * xi
-        dot = t if dot is None else dot + t
-    if is_exact(dot):
-        if not dot.is_zero():
-            raise ValueError("lift needs sum v_i x_i = 0")
-    elif abs(as_complex(dot)) > 1e-9 * max(1.0, max(abs(as_complex(a)) for a in v)):
+    scale = max(1.0, max(abs(as_complex(a)) for a in v))
+    if not negligible(dot(v, point.x), 1e-9, scale):
         raise ValueError("lift needs sum v_i x_i = 0")
     return [vi / (z - m) for vi, m in zip(v, point.pencil.mu)]
 
@@ -136,8 +122,8 @@ def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
         y_z = lift_vz(point.y, point, z)
         A = build_A(point, z)
         try:
-            alpha, beta = _express(A.matvec(x_z), x_z, y_z, point.exact)
-            gamma, delta = _express(A.matvec(y_z), x_z, y_z, point.exact)
+            alpha, beta = _express(A.matvec(x_z), x_z, y_z)
+            gamma, delta = _express(A.matvec(y_z), x_z, y_z)
         except _DependentFrame:
             out.append(
                 EquivalenceSample(
@@ -153,7 +139,7 @@ def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
             continue
         m = phi.at(z)
         frame_ok = all(
-            _close(got, want, point.exact)
+            _close(got, want)
             for got, want in (
                 (delta, m[0][0]),  # Phi11 = -B
                 (-beta, m[0][1]),  # Phi12 = C
@@ -163,7 +149,7 @@ def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
         )
         pdz = pd(z)
         hecke_ok = all(
-            _close(got, want, point.exact)
+            _close(got, want)
             for got, want in (
                 (alpha * pdz, triple.b(z)),
                 (beta * pdz, -triple.c(z)),
@@ -187,50 +173,29 @@ class _DependentFrame(Exception):
     pass
 
 
-def _express(w, u, v, exact: bool):
+def _express(w, u, v):
     """Coefficients (a, b) with w = a u + b v, requiring u, v independent."""
     n = len(u)
-    if exact:
-        scale = 1.0
-    else:
-        scale = 1.0 + max(abs(as_complex(t)) for vec in (w, u, v) for t in vec)
-    best = None
+    scale = 1.0 + max(abs(as_complex(t)) for vec in (w, u, v) for t in vec)
+    tried = False
     for i in range(n):
         for j in range(i + 1, n):
             det = u[i] * v[j] - u[j] * v[i]
-            if _is_zero(det):
-                continue
-            if not exact and abs(as_complex(det)) <= 1e-12 * scale * scale:
+            if negligible(det, 1e-12 * scale, scale):
                 continue
             a = (w[i] * v[j] - w[j] * v[i]) / det
             b = (u[i] * w[j] - u[j] * w[i]) / det
-            resid = [w[k] - a * u[k] - b * v[k] for k in range(n)]
-            if exact:
-                if all(r.is_zero() for r in resid):
-                    return a, b
-                raise ValueError("vector not in the span of the frame")
-            worst = max(abs(as_complex(r)) for r in resid)
-            if worst <= 1e-9 * scale * (1.0 + abs(as_complex(a)) + abs(as_complex(b))):
+            size = 1.0 + abs(as_complex(a)) + abs(as_complex(b))
+            if all(negligible(w[k] - a * u[k] - b * v[k], 1e-9 * scale, size) for k in range(n)):
                 return a, b
-            if best is None or worst < best[0]:
-                best = (worst, a, b)
-    if best is not None:
+            tried = True
+    if tried:
         raise ValueError("vector not in the span of the frame")
     raise _DependentFrame
 
 
-def _zero(v, exact: bool) -> bool:
-    if exact:
-        return v.is_zero()
-    return abs(as_complex(v)) <= 1e-9
-
-
-def _close(got, want, exact: bool, tol: float = 1e-9) -> bool:
-    diff = got - want
-    if exact:
-        return diff.is_zero()
-    scale = 1.0 + abs(as_complex(got)) + abs(as_complex(want))
-    return abs(as_complex(diff)) <= tol * scale
+def _close(got, want, tol: float = 1e-9) -> bool:
+    return close(got, want, tol, 1.0 + abs(as_complex(got)) + abs(as_complex(want)))
 
 
 @dataclass(frozen=True)
@@ -247,17 +212,12 @@ def trivial_subbundle_probe(point: PhasePoint) -> SubbundleProbe:
     both vanish exactly on constrained points.
     """
     x, mu = point.x, point.pencil.mu
-    c1 = None
-    c2 = None
-    for xi, m in zip(x, mu):
-        t1 = xi * xi
-        t2 = m * xi * xi
-        c1 = t1 if c1 is None else c1 + t1
-        c2 = t2 if c2 is None else c2 + t2
+    c1 = dot(x, x)
+    c2 = total(m * xi * xi for xi, m in zip(x, mu))
     return SubbundleProbe(
         z1_coefficient=c1,
         z2_coefficient=c2,
-        both_vanish=_zero(c1, point.exact) and _zero(c2, point.exact),
+        both_vanish=negligible(c1, 1e-9) and negligible(c2, 1e-9),
     )
 
 

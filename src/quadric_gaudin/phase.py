@@ -28,7 +28,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .scalars import GaussianRational, ZERO, ONE, I, gr, as_complex, is_exact
+from .scalars import (
+    GaussianRational, ZERO, ONE, I, as_complex, dot, gr, is_exact, negligible, total,
+)
 from .unipoly import Polynomial
 
 
@@ -45,8 +47,10 @@ class Pencil:
             raise ValueError("pencil needs N >= 5 marked points")
         if len(mu) < 3:
             raise ValueError("pencil needs at least 3 marked points")
+        if len({is_exact(m) for m in mu}) > 1:
+            raise ValueError("marked points mix exact and float scalars")
         for a, b in itertools.combinations(mu, 2):
-            if _same_scalar(a, b):
+            if a == b:
                 raise ValueError("marked points must be pairwise distinct")
         self.mu = mu
         self.N = len(mu)
@@ -81,20 +85,6 @@ class Pencil:
         return f"Pencil(N={self.N}, mu={list(self.mu)!r})"
 
 
-def _same_scalar(a, b) -> bool:
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return as_complex(a) == as_complex(b)
-
-
-def _dot(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        ab = a * b
-        acc = ab if acc is None else acc + ab
-    return acc
-
-
 class PhasePoint:
     """A constrained pair (x, y) over a pencil, exact or float."""
 
@@ -104,7 +94,9 @@ class PhasePoint:
         self.y = tuple(y)
         if len(self.x) != pencil.N or len(self.y) != pencil.N:
             raise ValueError("vector length must equal N")
-        if all(_is_zero(v) for v in self.x):
+        if any(is_exact(v) != pencil.exact for v in self.x + self.y):
+            raise ValueError("point coordinates and marked points mix exact and float scalars")
+        if not any(self.x):
             raise ValueError("x must be nonzero")
         if check:
             self.validate(tol)
@@ -121,24 +113,20 @@ class PhasePoint:
         """(sum x^2, sum mu x^2, sum x y, sum mu x y)."""
         mu = self.pencil.mu
         x, y = self.x, self.y
-        xx = _dot(x, x)
-        mxx = _dot([m * v for m, v in zip(mu, x)], x)
-        xy = _dot(x, y)
-        mxy = _dot([m * v for m, v in zip(mu, x)], y)
-        return (xx, mxx, xy, mxy)
+        mx = [m * v for m, v in zip(mu, x)]
+        return (dot(x, x), dot(mx, x), dot(x, y), dot(mx, y))
 
     def validate(self, tol: float = 1e-9) -> None:
         res = self.constraint_residuals()
-        if self.exact:
-            if any(not r.is_zero() for r in res):
-                raise ValueError(f"constraints violated exactly: {res}")
-        else:
-            scale = max(1.0, max(abs(as_complex(v)) for v in self.x) ** 2)
+        scale = 1.0
+        if not self.exact:
             scale = max(
-                scale, max((abs(as_complex(v)) for v in self.y), default=0.0) ** 2
+                1.0,
+                max(abs(as_complex(v)) for v in self.x) ** 2,
+                max((abs(as_complex(v)) for v in self.y), default=0.0) ** 2,
             )
-            if any(abs(as_complex(r)) > tol * scale for r in res):
-                raise ValueError(f"constraints violated beyond tol: {res}")
+        if not all(negligible(r, tol, scale) for r in res):
+            raise ValueError(f"constraints violated: {res}")
 
     def to_float(self) -> "PhasePoint":
         return PhasePoint(
@@ -150,10 +138,6 @@ class PhasePoint:
 
     def __repr__(self):
         return f"PhasePoint(N={self.pencil.N}, mode={self.mode})"
-
-
-def _is_zero(v) -> bool:
-    return v.is_zero() if is_exact(v) else v == 0
 
 
 # -- invariants and gauge ----------------------------------------------------
@@ -201,11 +185,7 @@ def poisson_bracket(p: PhasePoint, a: int, b: int):
 
     ax, ay = grads(a)
     bx, by = grads(b)
-    acc = None
-    for k in range(N):
-        t = ax[k] * by[k] - ay[k] * bx[k]
-        acc = t if acc is None else acc + t
-    return acc
+    return total(ax[k] * by[k] - ay[k] * bx[k] for k in range(N))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -223,13 +203,12 @@ def sample_isotropic_x(N: int, rng: random.Random) -> list[GaussianRational]:
     P = [ONE, I] + [ZERO] * (N - 2)
     while True:
         d = [_draw_gaussian_int(rng, 6) for _ in range(N)]
-        qd = _dot(d, d)
+        qd = dot(d, d)
         qpd = d[0] + I * d[1]
-        if qd.is_zero() or qpd.is_zero():
+        if not qd or not qpd:
             continue
         x = [qd * pi - gr(2) * qpd * di for pi, di in zip(P, d)]
-        nonzero = sum(0 if v.is_zero() else 1 for v in x)
-        if nonzero < max(3, N - 2):
+        if sum(1 for v in x if v) < max(3, N - 2):
             continue
         return x
 
@@ -260,17 +239,15 @@ def sample_pencil_point(
         if len({(m.re, m.im) for m in mu}) != N:
             continue
         pencil = Pencil(mu)
-        assert _dot([m * v for m, v in zip(mu, x)], x).is_zero()
+        assert not dot([m * v for m, v in zip(mu, x)], x)
         return pencil, x
 
 
 def _solve_x_squares(pencil: Pencil, tail):
     """(x_1^2, x_2^2) forced by the two constraints given x_3..x_N."""
     mu = pencil.mu
-    if _same_scalar(mu[0], mu[1]):
-        raise ValueError("singular solve: mu_1 = mu_2")
-    s0 = _dot(tail, tail)
-    s1 = _dot([mu[i + 2] * v for i, v in enumerate(tail)], tail)
+    s0 = dot(tail, tail)
+    s1 = dot([mu[i + 2] * v for i, v in enumerate(tail)], tail)
     d = mu[0] - mu[1]
     x1sq = (mu[1] * s0 - s1) / d
     x2sq = (s1 - mu[0] * s0) / d
@@ -292,7 +269,7 @@ def sample_point_x(pencil: Pencil, seed: int, mode: str = "exact"):
             tail = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(pencil.N - 2)]
             x1sq, x2sq = _solve_x_squares(fp, tail)
             x = [x1sq ** 0.5, x2sq ** 0.5] + tail
-            if all(v == 0 for v in x):
+            if not any(x):
                 continue
             return x
     if mode != "exact":
@@ -331,18 +308,17 @@ def _integer_cone_points(pencil: Pencil, bound: int = 2, cap: int = 4096):
     half = N // 2
     left: dict = {}
     for combo in itertools.product(vals, repeat=half):
-        k0 = _dot(combo, combo)
-        k1 = _dot([mu[i] * v for i, v in enumerate(combo)], combo)
+        k0 = dot(combo, combo)
+        k1 = dot([mu[i] * v for i, v in enumerate(combo)], combo)
         left.setdefault(_scalar_key(k0, k1), []).append(combo)
     out = []
     for combo in itertools.product(vals, repeat=N - half):
-        k0 = _dot(combo, combo)
-        k1 = _dot([mu[half + i] * v for i, v in enumerate(combo)], combo)
+        k0 = dot(combo, combo)
+        k1 = dot([mu[half + i] * v for i, v in enumerate(combo)], combo)
         want = _scalar_key(-k0, -k1)
         for lead in left.get(want, ()):
             x = list(lead) + list(combo)
-            nz = sum(0 if v.is_zero() else 1 for v in x)
-            if nz >= 3:
+            if sum(1 for v in x if v) >= 3:
                 out.append(tuple(x))
                 if len(out) >= cap:
                     _CONE_CACHE[key] = out
@@ -364,7 +340,7 @@ def sample_point_y(pencil: Pencil, x, seed: int, mode: str = "exact"):
     N = pencil.N
     mu = pencil.mu
     rng = random.Random(seed)
-    usable = [i for i in range(N) if not _is_zero(x[i])]
+    usable = [i for i in range(N) if x[i]]
     if len(usable) < 2:
         raise DegeneratePointError("need two indices with x_i != 0 to solve for y")
     i0, i1 = usable[0], usable[1]
@@ -376,17 +352,10 @@ def sample_point_y(pencil: Pencil, x, seed: int, mode: str = "exact"):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     # x_{i0} y_{i0} + x_{i1} y_{i1} = -sum_rest x_i y_i   (and mu-weighted)
-    r0 = [x[i] * draw[i] for i in rest]
-    s0 = -_dot(r0, [ONE if mode == "exact" else 1.0] * len(rest)) if rest else None
-    if s0 is None:
-        s0 = ZERO if mode == "exact" else 0j
-    s1 = None
-    for i in rest:
-        t = mu[i] * x[i] * draw[i]
-        s1 = t if s1 is None else s1 + t
-    s1 = -(s1 if s1 is not None else (ZERO if mode == "exact" else 0j))
+    s0 = -total(x[i] * draw[i] for i in rest)
+    s1 = -total(mu[i] * x[i] * draw[i] for i in rest)
     det = x[i0] * x[i1] * (mu[i1] - mu[i0])
-    if _is_zero(det):
+    if not det:
         raise DegeneratePointError("pivot system singular for every usable pair")
     # Cramer on [[x0, x1], [mu0 x0, mu1 x1]]
     y0 = (s0 * mu[i1] * x[i1] - x[i1] * s1) / det

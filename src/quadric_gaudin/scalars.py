@@ -1,15 +1,22 @@
-"""Exact Gaussian-rational scalars and float-complex helpers.
+"""Exact Gaussian-rational scalars, float-complex helpers, and the one place
+the exact/float split is decided.
 
 All identity-style verification in this package runs on ``GaussianRational``
 (complex numbers with Fraction real and imaginary parts, always in lowest
 terms with positive denominators, courtesy of ``fractions.Fraction``).
 Floats appear only where genuinely needed: root extraction and the
 float-mode samplers.
+
+Zero tests are ``not v`` in both domains.  ``negligible`` and ``close`` are
+the only tolerance-aware comparisons: on exact scalars they decide exactly
+and ignore the tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 
@@ -124,10 +131,10 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re.numerator or self.im.numerator)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re.numerator or self.im.numerator)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -155,7 +162,7 @@ class GaussianRational:
         z = a + bi is a square iff |z| is rational and (a + |z|)/2 is a
         rational square; both reduce to integer square-root checks.
         """
-        if self.is_zero():
+        if not self:
             return ZERO
         r2 = self.norm2()
         r = _fraction_sqrt(r2)
@@ -243,3 +250,39 @@ def as_complex(v) -> complex:
     if isinstance(v, GaussianRational):
         return complex(v)
     return ensure_finite(complex(v))
+
+
+# -- the exact/float split ---------------------------------------------------
+
+def zero_like(v):
+    """The zero of v's scalar domain."""
+    return ZERO if isinstance(v, GaussianRational) else 0j
+
+
+def one_like(v):
+    """The one of v's scalar domain."""
+    return ONE if isinstance(v, GaussianRational) else 1.0 + 0j
+
+
+def total(terms):
+    """Left-to-right sum of a non-empty iterable (fixes the float rounding)."""
+    return functools.reduce(operator.add, terms)
+
+
+def dot(u, v):
+    """sum u_i v_i, left to right."""
+    return total(a * b for a, b in zip(u, v))
+
+
+def negligible(v, tol: float, scale: float = 1.0) -> bool:
+    """Exact: v == 0, tol ignored.  Float: |v| <= tol * scale."""
+    if isinstance(v, GaussianRational):
+        return not v
+    return abs(as_complex(v)) <= tol * scale
+
+
+def close(a, b, tol: float, scale: float = 1.0) -> bool:
+    """Exact equality when both sides are exact, else |a - b| <= tol * scale."""
+    if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
+        return a == b
+    return abs(as_complex(a) - as_complex(b)) <= tol * scale

@@ -29,8 +29,13 @@ import numpy as np
 
 from .linalg import Matrix, rank_kernel
 from .phase import PhasePoint, Pencil
-from .scalars import as_complex, is_exact
-from .unipoly import Polynomial, clustered_roots, squarefree_factorization
+from .scalars import as_complex, close, dot, is_exact, negligible, total
+from .unipoly import (
+    DEFAULT_ROOT_TOL,
+    Polynomial,
+    clustered_roots,
+    squarefree_factorization,
+)
 
 #: cofactor_j = sign * lead(p)^(N-1) * x_j * closed_form; the closed form is
 #: stated for monic p, so the non-monic case carries lead(p)^(N-1).  The
@@ -47,11 +52,8 @@ def auxiliary_poly(x, pencil: Pencil) -> Polynomial:
     p = Polynomial.zero()
     for xi, L in zip(x, pencil.lagrange_numerators()):
         p = p + L.scale(xi * xi)
-    exact = is_exact(x[0])
-    if exact:
-        if not p.is_zero() and p.degree > pencil.n:
-            raise ValueError("auxiliary polynomial exceeds degree n: x unconstrained")
-        return p
+    if p.exact and p.degree > pencil.n:
+        raise ValueError("auxiliary polynomial exceeds degree n: x unconstrained")
     from .higgs import _trim_float
 
     return _trim_float(p, pencil.n)
@@ -112,40 +114,42 @@ def eigenvalues(point: PhasePoint, root_list) -> list:
     """
     mu = point.pencil.mu
     x, y = point.x, point.y
+    scale = max(1.0, max(abs(as_complex(v)) for v in x) ** 2)
     out = []
     for a in root_list:
-        for j, m in enumerate(mu):
-            if _collides(a, m):
-                raise RootAtMarkedPointError(
-                    f"root {a} equals mu_{j + 1}: apply dimension reduction"
-                )
-        lam = None
-        e1 = None
-        for i in range(point.pencil.N):
-            denom = a - _match_domain(mu[i], a)
-            t = x[i] * y[i] / denom
-            s = x[i] * x[i] / denom
-            lam = t if lam is None else lam + t
-            e1 = s if e1 is None else e1 + s
-        if is_exact(e1):
-            if not e1.is_zero():
-                raise ValueError("eigenvector equation failed: a_k is not a root")
-        else:
-            scale = max(1.0, max(abs(as_complex(v)) for v in x) ** 2)
-            if abs(as_complex(e1)) > 1e-6 * scale:
-                raise ValueError("eigenvector equation failed beyond tolerance")
+        _check_off_marked(a, mu)
+        denoms = [a - m for m in mu]
+        lam = total(xi * yi / d for xi, yi, d in zip(x, y, denoms))
+        e1 = total(xi * xi / d for xi, d in zip(x, denoms))
+        if not negligible(e1, 1e-6, scale):
+            raise ValueError("eigenvector equation failed: a_k is not a root")
         out.append(lam)
     return out
 
 
-def _match_domain(m, a):
-    return m if is_exact(a) == is_exact(m) else (as_complex(m) if not is_exact(a) else m)
+def _check_off_marked(a, mu) -> None:
+    for j, m in enumerate(mu):
+        if close(a, m, 1e-12):
+            raise RootAtMarkedPointError(
+                f"root {a} equals mu_{j + 1}: apply dimension reduction"
+            )
 
 
-def _collides(a, m) -> bool:
-    if is_exact(a) and is_exact(m):
-        return a == m
-    return abs(as_complex(a) - as_complex(m)) < 1e-12
+def exact_divisor(p: Polynomial, n: int, tol: float = DEFAULT_ROOT_TOL):
+    """Finite roots (float positions, exact multiplicities) and inf multiplicity.
+
+    Multiplicities come from the exact squarefree factorization; the float
+    roots of each factor only locate them.
+    """
+    if p.is_zero():
+        raise ValueError("zero auxiliary polynomial")
+    finite = [
+        (r, k)
+        for factor, k in squarefree_factorization(p)
+        for r, _ in clustered_roots(factor.to_float(), tol)
+    ]
+    finite.sort(key=lambda t: (t[0].real, t[0].imag))
+    return tuple(finite), n - p.degree
 
 
 def separate(point: PhasePoint, tol: float = 1e-8) -> SeparatedData:
@@ -156,18 +160,15 @@ def separate(point: PhasePoint, tol: float = 1e-8) -> SeparatedData:
     """
     pencil = point.pencil
     p = auxiliary_poly(point.x, pencil)
-    if p.is_zero():
-        raise ValueError("zero auxiliary polynomial")
-    inf_mult = pencil.n - p.degree
     if point.exact:
-        finite = []
-        for factor, k in squarefree_factorization(p):
-            for r, _ in clustered_roots(factor.to_float(), tol):
-                finite.append((r, k))
-        finite.sort(key=lambda t: (t[0].real, t[0].imag))
+        finite, inf_mult = exact_divisor(p, pencil.n, tol)
+    elif p.is_zero():
+        raise ValueError("zero auxiliary polynomial")
     else:
-        finite = clustered_roots(p, tol)
-    simple = [r for r, m in finite if m == 1 and not any(_collides(r, mm) for mm in pencil.mu)]
+        finite, inf_mult = tuple(clustered_roots(p, tol)), pencil.n - p.degree
+    simple = [
+        r for r, m in finite if m == 1 and not any(close(r, mm, 1e-12) for mm in pencil.mu)
+    ]
     lambdas = eigenvalues(point.to_float() if point.exact else point, simple) if simple else []
     ell = None
     if simple:
@@ -176,7 +177,7 @@ def separate(point: PhasePoint, tol: float = 1e-8) -> SeparatedData:
         ell = Matrix([[xf[j] / (a - muf[j]) for j in range(pencil.N)] for a in simple])
     return SeparatedData(
         p=p,
-        finite_roots=tuple(finite),
+        finite_roots=finite,
         infinity_multiplicity=inf_mult,
         lambdas=tuple(lambdas),
         ell_matrix=ell,
@@ -191,11 +192,7 @@ def sov_matrix(x, root_list, pencil: Pencil) -> Matrix:
     xs = list(x) if exact else [as_complex(v) for v in x]
     for a in root_list:
         av = a if exact else as_complex(a)
-        for j, m in enumerate(mu):
-            if _collides(av, m):
-                raise RootAtMarkedPointError(
-                    f"root {av} equals mu_{j + 1}: apply dimension reduction"
-                )
+        _check_off_marked(av, mu)
         rows.append([xs[j] / (av - mu[j]) for j in range(pencil.N)])
     rows.append(list(xs))
     rows.append([m * v for m, v in zip(mu, xs)])
@@ -226,7 +223,7 @@ def minor_identity_check(
     prod_i [x_i / p(mu_i)] * prod_{j<k} (a_j - a_k) * prod_{l<m} (mu_l - mu_m).
     """
     N = pencil.N
-    if any(_is_zero_scalar(v) for v in x):
+    if not all(x):
         raise ValueError("zero coordinate: use dimension reduction first")
     p = auxiliary_poly(x, pencil)
     if len(root_list) != pencil.n:
@@ -261,10 +258,6 @@ def minor_identity_check(
         match=bool(err <= tol * max(1.0, abs(mean))),
         rel_error=float(err),
     )
-
-
-def _is_zero_scalar(v) -> bool:
-    return v.is_zero() if is_exact(v) else v == 0
 
 
 @dataclass(frozen=True)
@@ -303,11 +296,10 @@ def hamiltonians_via_sov(point: PhasePoint, tol: float = 1e-9) -> SovDualityRepo
     h_dir = reduced_tr_phi_squared(point, check_samples=False).h.to_float()
     scale = max(h_dir.coeff_scale(), h_rec.coeff_scale(), 1e-300)
     deg = max(len(h_rec.coeffs), len(h_dir.coeffs))
-    err = 0.0
-    for k in range(deg):
-        a = h_rec.coeff(k) if k < len(h_rec.coeffs) else 0j
-        b = h_dir.coeff(k) if k < len(h_dir.coeffs) else 0j
-        err = max(err, abs(as_complex(a) - as_complex(b)) / scale)
+    err = max(
+        [abs(as_complex(h_rec.coeff(k)) - as_complex(h_dir.coeff(k))) / scale for k in range(deg)],
+        default=0.0,
+    )
     ell_rank, _ = rank_kernel(sep.ell_matrix, tol=1e-9)
     span_dim = _squares_span_dimension(point, sep)
     return SovDualityReport(
@@ -331,7 +323,7 @@ def _squares_span_dimension(point: PhasePoint, sep: SeparatedData) -> int:
     rows = []
     for k, a in enumerate(sep.simple_finite_roots):
         ell = [xf[j] / (a - muf[j]) for j in range(N)]
-        restricted = [sum(ell[j] * b[j] for j in range(N)) for b in basis]
+        restricted = [dot(ell, b) for b in basis]
         m = len(restricted)
         rows.append(
             [

@@ -11,7 +11,7 @@ import cmath
 import math
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ZERO, ONE, as_complex
+from .scalars import GaussianRational, ONE, as_complex, one_like, zero_like
 
 NEG_INF = float("-inf")
 
@@ -24,12 +24,6 @@ class RootFindingError(RuntimeError):
         self.best = best
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return c.is_zero()
-    return c == 0
-
-
 class Polynomial:
     """Dense univariate polynomial; trailing zero coefficients are trimmed."""
 
@@ -37,7 +31,7 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable):
         cs = list(coeffs)
-        while cs and _is_zero_coeff(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -54,8 +48,7 @@ class Polynomial:
     @staticmethod
     def identity_shift(c) -> "Polynomial":
         """The polynomial z - c over the scalar domain of c."""
-        one = ONE if isinstance(c, GaussianRational) else 1.0 + 0j
-        return Polynomial([-c, one])
+        return Polynomial([-c, one_like(c)])
 
     @staticmethod
     def from_roots(roots: Sequence, lead=None) -> "Polynomial":
@@ -89,14 +82,14 @@ class Polynomial:
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return ZERO if self.exact else 0j
+        return zero_like(self.coeffs[0]) if self.coeffs else 0j
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         if len(self.coeffs) != len(other.coeffs):
             return False
-        return all(_is_zero_coeff(a - b) for a, b in zip(self.coeffs, other.coeffs))
+        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -138,15 +131,14 @@ class Polynomial:
         """Multiply by z^k."""
         if self.is_zero():
             return self
-        zero = ZERO if self.exact else 0j
-        return Polynomial([zero] * k + list(self.coeffs))
+        return Polynomial([zero_like(self.lead())] * k + list(self.coeffs))
 
     def derivative(self) -> "Polynomial":
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, z):
         if not self.coeffs:
-            return ZERO if isinstance(z, GaussianRational) else 0j
+            return zero_like(z)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * z + c
@@ -155,8 +147,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
-        inv = 1 / self.lead() if self.exact else 1.0 / self.lead()
-        return self.scale(inv)
+        return self.scale(1 / self.lead())
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact-field polynomial division with remainder."""
@@ -166,10 +157,10 @@ class Polynomial:
         db, lb = other.degree, other.lead()
         if self.degree < db:
             return Polynomial.zero(), self
-        quo = [ZERO if self.exact else 0j] * (len(rem) - db)
+        quo = [zero_like(lb)] * (len(rem) - db)
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k]
-            if _is_zero_coeff(c):
+            if not c:
                 continue
             f = c / lb
             quo[k - db] = f
@@ -250,7 +241,7 @@ def squarefree_factorization(p: Polynomial) -> list[tuple[Polynomial, int]]:
 def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
     m, n = p.degree, q.degree
     size = m + n
-    zero = ZERO if p.exact else 0j
+    zero = zero_like(p.lead())
     rows = []
     pc = list(reversed(p.coeffs))
     qc = list(reversed(q.coeffs))
@@ -268,20 +259,20 @@ def _bareiss_determinant(rows: list[list]):
         return ONE
     m = [list(r) for r in rows]
     sign = 1
-    prev = ONE if isinstance(m[0][0], GaussianRational) else 1.0 + 0j
+    prev = one_like(m[0][0])
     for k in range(n - 1):
-        if _is_zero_coeff(m[k][k]):
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not _is_zero_coeff(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return ZERO if isinstance(prev, GaussianRational) else 0j
+                return zero_like(prev)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ZERO if isinstance(prev, GaussianRational) else 0j
+            m[i][k] = zero_like(prev)
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
@@ -292,7 +283,7 @@ def resultant(p: Polynomial, q: Polynomial):
     if p.is_zero() or q.is_zero():
         raise ValueError("undefined resultant: zero polynomial input")
     if p.degree == 0 and q.degree == 0:
-        return ONE if p.exact else 1.0 + 0j
+        return one_like(p.lead())
     if p.degree == 0:
         return p.coeffs[0] ** q.degree
     if q.degree == 0:
@@ -309,8 +300,7 @@ def discriminant_vanishes(p: Polynomial) -> bool:
     """Exact repeated-root test for an exact polynomial of degree >= 1."""
     if p.degree <= 1:
         return False
-    r = resultant(p, p.derivative())
-    return r.is_zero()
+    return not resultant(p, p.derivative())
 
 
 # -- root finding (float) ------------------------------------------------------
@@ -425,8 +415,8 @@ def lagrange_interpolate(nodes: Sequence, values: Sequence) -> Polynomial:
         raise ValueError("nodes and values must have equal length")
     total = Polynomial.zero()
     for i, (ni, vi) in enumerate(zip(nodes, values)):
-        basis = Polynomial([ONE if isinstance(ni, GaussianRational) else 1.0 + 0j])
-        denom = ONE if isinstance(ni, GaussianRational) else 1.0 + 0j
+        basis = Polynomial([one_like(ni)])
+        denom = one_like(ni)
         for j, nj in enumerate(nodes):
             if j == i:
                 continue

@@ -33,13 +33,8 @@ from typing import Optional
 from .linalg import Matrix, rank_kernel
 from .phase import Pencil, PhasePoint
 from .scalars import ZERO, ONE, gr, as_complex, is_exact
-from .sov import auxiliary_poly
-from .unipoly import (
-    Polynomial,
-    clustered_roots,
-    resultant,
-    squarefree_factorization,
-)
+from .sov import auxiliary_poly, exact_divisor
+from .unipoly import Polynomial, resultant, squarefree_factorization
 
 VERY_STABLE = "very_stable"
 WOBBLY = "wobbly"
@@ -93,11 +88,11 @@ def classify(x, pencil: Pencil) -> StabilityVerdict:
     """
     if not is_exact(x[0]):
         raise ValueError("classification requires exact coordinates")
-    if all(v.is_zero() for v in x):
+    if not any(x):
         raise ValueError("x must be nonzero")
     p = auxiliary_poly(x, pencil)
-    finite, inf_mult = _exact_divisor(p, pencil.n)
-    zeros = tuple(i for i, v in enumerate(x) if v.is_zero())
+    finite, inf_mult = exact_divisor(p, pencil.n)
+    zeros = tuple(i for i, v in enumerate(x) if not v)
     if zeros:
         keep = [i for i in range(pencil.N) if i not in zeros]
         red_mu = tuple(pencil.mu[i] for i in keep)
@@ -115,7 +110,7 @@ def classify(x, pencil: Pencil) -> StabilityVerdict:
         )
     # resultant cross-check: repeated finite root iff res(p, p') = 0
     if p.degree >= 1:
-        rep_by_res = resultant(p, p.derivative()).is_zero()
+        rep_by_res = not resultant(p, p.derivative())
         rep_by_sqf = any(m > 1 for _, m in finite)
         if rep_by_res != rep_by_sqf:
             raise AssertionError("resultant and squarefree factorization disagree")
@@ -125,20 +120,6 @@ def classify(x, pencil: Pencil) -> StabilityVerdict:
         finite_roots=finite,
         infinity_multiplicity=inf_mult,
     )
-
-
-def _exact_divisor(p: Polynomial, n: int):
-    """Finite roots (float positions, exact multiplicities) and inf multiplicity."""
-    if p.is_zero():
-        raise ValueError("zero auxiliary polynomial")
-    inf_mult = n - (p.degree if p.degree >= 0 else 0)
-    finite = []
-    if p.degree >= 1:
-        for factor, k in squarefree_factorization(p):
-            for r, _ in clustered_roots(factor.to_float()):
-                finite.append((r, k))
-    finite.sort(key=lambda t: (t[0].real, t[0].imag))
-    return tuple(finite), inf_mult
 
 
 @dataclass(frozen=True)
@@ -162,8 +143,7 @@ class DivisorImage:
 
 def symmetric_product_image(x, pencil: Pencil) -> DivisorImage:
     """The divisor of p, infinity included; distinct iff x is very stable."""
-    p = auxiliary_poly(x, pencil)
-    finite, inf_mult = _exact_divisor(p, pencil.n)
+    finite, inf_mult = exact_divisor(auxiliary_poly(x, pencil), pencil.n)
     return DivisorImage(finite=finite, infinity_multiplicity=inf_mult)
 
 
@@ -178,38 +158,40 @@ def witness_system(x, pencil: Pencil) -> Matrix:
     ceil(m_inf/2) coefficients of b_y beyond the forced degree bound.
     Requires all x_i != 0 (reduce first otherwise).
     """
-    if any(v.is_zero() for v in x):
+    if not all(x):
         raise ValueError("witness system needs all x_i != 0; reduce first")
-    N = pencil.N
+    return Matrix(_witness_rows(x, pencil, strip_marked=False))
+
+
+def _witness_rows(x, pencil: Pencil, strip_marked: bool) -> list[list]:
+    """Rows of the witness system; strip_marked drops the roots of p at marked
+    points, the relaxed system of the marked-double-root search."""
     n = pencil.n
-    mu = pencil.mu
     p = auxiliary_poly(x, pencil)
     cols = [L.scale(xi) for xi, L in zip(x, pencil.lagrange_numerators())]
-    rows: list[list] = []
-    rows.append(list(x))
-    rows.append([m * v for m, v in zip(mu, x)])
+    rows = [list(x), [m * v for m, v in zip(pencil.mu, x)]]
     s = Polynomial([ONE])
-    if p.degree >= 1:
-        for factor, k in squarefree_factorization(p):
-            for _ in range((k + 1) // 2):
-                s = s * factor
+    for factor, k in squarefree_factorization(p):
+        if strip_marked:
+            for m in pencil.mu:
+                lin = Polynomial.identity_shift(m)
+                while (factor % lin).is_zero():
+                    factor = factor.exact_div(lin)
+        for _ in range((k + 1) // 2):
+            s = s * factor
     if s.degree >= 1:
         rems = [c % s for c in cols]
-        for d in range(s.degree):
-            rows.append([r.coeff(d) for r in rems])
-    inf_mult = n - (p.degree if p.degree >= 0 else 0)
-    for t in range((inf_mult + 1) // 2):
-        d = n - t
-        rows.append([c.coeff(d) for c in cols])
-    return Matrix(rows)
+        rows.extend([r.coeff(d) for r in rems] for d in range(s.degree))
+    inf_mult = n - p.degree
+    rows.extend([c.coeff(n - t) for c in cols] for t in range((inf_mult + 1) // 2))
+    return rows
 
 
 def is_gauge_trivial(x, y) -> bool:
     """y proportional to x, i.e. the represented covector is zero."""
-    for i, j in itertools.combinations(range(len(x)), 2):
-        if not (x[i] * y[j] - x[j] * y[i]).is_zero():
-            return False
-    return True
+    return all(
+        x[i] * y[j] == x[j] * y[i] for i, j in itertools.combinations(range(len(x)), 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -268,7 +250,7 @@ def _verified_nilpotent(x, y, pencil: Pencil) -> bool:
     from .higgs import hamiltonians, hecke_transform, is_nilpotent
 
     point = PhasePoint(pencil, x, y)
-    if any(not f.is_zero() for f in hamiltonians(point)):
+    if any(hamiltonians(point)):
         return False
     return is_nilpotent(hecke_transform(point))
 
@@ -311,29 +293,7 @@ def _zero_pad(y_red, zero_indices, N: int):
 
 def _marked_multiple_root_witness(x, pencil: Pencil, bound: int = 2):
     """Last-resort exact search for the marked-double-root corner case."""
-    N = pencil.N
-    mu = pencil.mu
-    p = auxiliary_poly(x, pencil)
-    cols = [L.scale(xi) for xi, L in zip(x, pencil.lagrange_numerators())]
-    rows = [list(x), [m * v for m, v in zip(mu, x)]]
-    marked = {(m.re, m.im) for m in mu}
-    s = Polynomial([ONE])
-    for factor, k in squarefree_factorization(p):
-        # keep only the part of the factor prime to the marked points
-        for m in pencil.mu:
-            lin = Polynomial.identity_shift(m)
-            while (factor % lin).is_zero():
-                factor = factor.exact_div(lin)
-        for _ in range((k + 1) // 2):
-            s = s * factor
-    if s.degree >= 1:
-        rems = [c % s for c in cols]
-        for d in range(s.degree):
-            rows.append([r.coeff(d) for r in rems])
-    inf_mult = pencil.n - (p.degree if p.degree >= 0 else 0)
-    for t in range((inf_mult + 1) // 2):
-        rows.append([c.coeff(pencil.n - t) for c in cols])
-    _, basis = rank_kernel(Matrix(rows))
+    _, basis = rank_kernel(Matrix(_witness_rows(x, pencil, strip_marked=True)))
     if len(basis) < 2:
         return None
     coeff_pool = [gr(a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)]
@@ -341,10 +301,10 @@ def _marked_multiple_root_witness(x, pencil: Pencil, bound: int = 2):
     combos = list(itertools.product(coeff_pool, repeat=len(basis)))
     rng.shuffle(combos)
     for combo in combos[:4000]:
-        y = [ZERO] * N
+        y = [ZERO] * pencil.N
         any_nonzero = False
         for c, b in zip(combo, basis):
-            if c.is_zero():
+            if not c:
                 continue
             any_nonzero = True
             y = [yi + c * bi for yi, bi in zip(y, b)]
@@ -388,22 +348,18 @@ def properness_probe(
     zero_pt = PhasePoint(pf, xf, [0j] * pencil.N, check=False)
     sep = separate(zero_pt)
     simple = [r for r, m in sep.finite_roots if m == 1]
-    mins = []
     rays = []
     for _ in range(samples):
         coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in basis]
         ray = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(pencil.N)]
         norm = max(abs(v) for v in ray)
         rays.append([v / norm for v in ray])
-    for R in radii:
-        worst = None
-        for ray in rays:
-            y = [R * v for v in ray]
-            pt = PhasePoint(pf, xf, y, check=False)
-            lams = eigenvalues(pt, simple)
-            m = min(abs(as_complex(l)) for l in lams) if lams else 0.0
-            worst = m if worst is None else min(worst, m)
-        mins.append(worst if worst is not None else 0.0)
+
+    def smallest(R, ray):
+        pt = PhasePoint(pf, xf, [R * v for v in ray], check=False)
+        return min((abs(as_complex(l)) for l in eigenvalues(pt, simple)), default=0.0)
+
+    mins = [min((smallest(R, ray) for ray in rays), default=0.0) for R in radii]
     if len(radii) >= 2 and mins[0] > 0 and mins[-1] > 0:
         expo = (math.log(mins[-1]) - math.log(mins[0])) / (
             math.log(radii[-1]) - math.log(radii[0])

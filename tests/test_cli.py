@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quadric_gaudin.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from quadric_gaudin.serialize import (
     dumps,
@@ -201,3 +203,24 @@ def test_structured_serializers(fix_c):
     assert sep["infinity_multiplicity"] == 0
     assert len(sep["finite_roots"]) == 2 and len(sep["lambdas"]) == 2
     assert sep["p"] == ["24/1+0/1 i", "-40/1+0/1 i", "10/1+0/1 i"]
+
+
+def test_dmax_reaches_descent_and_symbol_suites(capsys):
+    code, out, _ = run(capsys, "diffops-verify", "--n", "5", "--dmax", "1")
+    assert code == EXIT_OK
+    cases = {d["check"]: d["cases"] for d in map(json.loads, out.strip().splitlines()) if "check" in d}
+    # 2 checks per (i, monomial of degree <= 1): 2 * 5 * C(6, 1)
+    assert cases["descent suite"] == 60
+    assert cases["symbol of Delta_i against dq1"] == 60
+
+
+@pytest.mark.parametrize("command", ["classify", "orthomodel-verify"])
+@pytest.mark.parametrize("field", ["mu", "y"])
+def test_point_document_mixing_domains_is_usage_error(tmp_path, capsys, fix_c, command, field):
+    doc = point_to_json(fix_c)
+    doc[field][1] = [1.0, 0.0]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--point", str(path))
+    assert code == EXIT_USAGE
+    assert out == "" and "mix exact and float scalars" in err

@@ -4,11 +4,19 @@ from fractions import Fraction
 import pytest
 
 from quadric_gaudin.scalars import (
+    ONE,
+    ZERO,
     as_complex,
+    close,
+    dot,
     ensure_finite,
     format_scalar,
     gr,
+    negligible,
+    one_like,
     parse_scalar,
+    total,
+    zero_like,
 )
 
 
@@ -88,3 +96,66 @@ def test_immutability_and_hash():
         v.re = Fraction(3)
     assert hash(gr(3)) == hash(Fraction(3))
     assert len({gr(1, 2), gr(1, 2), gr(2, 1)}) == 2
+
+
+def _draw(domain, rng):
+    if domain == "exact":
+        return gr(Fraction(rng.randint(-99, 99), rng.randint(1, 30)),
+                  Fraction(rng.randint(-99, 99), rng.randint(1, 30)))
+    return complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e-3, 1e-3))
+
+
+def _same(a, b):
+    """Exact equality, or bit-for-bit equality of both float parts."""
+    if isinstance(a, complex):
+        return (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
+    return a == b
+
+
+@pytest.mark.parametrize("domain", ["exact", "float"])
+def test_total_and_dot_are_left_to_right(domain):
+    rng = random.Random(11)
+    for size in (1, 2, 7, 30):
+        u = [_draw(domain, rng) for _ in range(size)]
+        v = [_draw(domain, rng) for _ in range(size)]
+        acc = u[0]
+        for t in u[1:]:
+            acc = acc + t
+        assert _same(total(u), acc)
+        acc = u[0] * v[0]
+        for a, b in zip(u[1:], v[1:]):
+            acc = acc + a * b
+        assert _same(dot(u, v), acc)
+
+
+@pytest.mark.parametrize("domain", ["exact", "float"])
+def test_zero_and_one_like(domain):
+    v = _draw(domain, random.Random(2))
+    assert type(zero_like(v)) is type(v) and not zero_like(v)
+    assert type(one_like(v)) is type(v) and one_like(v) * v == v
+
+
+def test_negligible_ignores_tol_on_exact_input():
+    tiny = gr(Fraction(1, 10**30))
+    assert not negligible(tiny, 1.0, 1e6)
+    assert negligible(ZERO, 0.0)
+    assert negligible(1e-31 + 0j, 1e-30)
+    assert not negligible(2e-30 + 0j, 1e-30)
+    assert negligible(2e-30 + 0j, 1e-30, 2.0)
+
+
+def test_close_exact_against_float_compares_as_complex():
+    assert close(gr(1, 2), 1 + 2j, 0.0)
+    assert close(gr(Fraction(1, 3)), 1 / 3 + 0j, 1e-15)
+    assert not close(gr(1, 2), 1 + 2.1j, 0.05)
+    assert close(gr(1, 2), 1 + 2.1j, 0.05, 3.0)
+    # exact on both sides: equality, whatever the tolerance
+    assert not close(gr(1), gr(1, Fraction(1, 10**30)), 1.0, 1e6)
+    assert close(gr(Fraction(2, 4)), gr(Fraction(1, 2)), 0.0)
+
+
+def test_truthiness_is_the_exact_zero_test():
+    assert not ZERO and not gr(0) and not gr(Fraction(0, 7), Fraction(0, 3))
+    for v in (ONE, gr(0, 1), gr(Fraction(1, 10**40)), gr(0, Fraction(-1, 3)), gr(-2, 5)):
+        assert v and not v.is_zero()
+    assert ZERO.is_zero() and not (gr(3, 4) - gr(3, 4))
