@@ -2,7 +2,8 @@
 
 Reports are JSON lines; identical configuration (including seed) produces
 byte-identical output.  Exit codes: 0 all checks pass, 2 verification
-failure, 64 usage error.  Trials run one after another, in trial order.
+failure, 64 usage error, 70 internal failure (one JSON error line on
+stderr).  Trials run one after another, in trial order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .scalars import as_complex, gr, negligible, total
 from .phase import (
     Pencil,
     PhasePoint,
+    bracket_mass,
     poisson_bracket,
     sample_pencil_point,
     sample_phase_point,
@@ -23,10 +25,13 @@ from .phase import (
     sample_point_y,
 )
 from .serialize import dumps, point_from_json, point_to_json, scalar_to_json
+from .unipoly import RootFindingError
+from .verystable import WitnessSearchError
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _UsageError(Exception):
@@ -160,7 +165,8 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
         b = poisson_bracket(pt, i, j)
         if fault == "delta-sign":
             b = b + 1
-        if not negligible(b, tol):
+        scale = 1.0 if exact else max(1.0, bracket_mass(pt, i, j))
+        if not negligible(b, tol, scale):
             brackets_ok = False
             results.append(("poisson-bracket", False, f"{{f_{i + 1}, f_{j + 1}}} != 0"))
             break
@@ -436,6 +442,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
+    except (WitnessSearchError, RootFindingError, AssertionError) as e:
+        sys.stderr.write(dumps({"error": "internal", "type": type(e).__name__, "detail": str(e)}) + "\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

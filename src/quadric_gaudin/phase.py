@@ -154,38 +154,51 @@ def gauge_shift(p: PhasePoint, t) -> PhasePoint:
     )
 
 
+def _bracket_grads(p: PhasePoint, i: int):
+    """(d f_i/dx, d f_i/dy) at p, in closed form through the pair invariants."""
+    mu, x, y = p.pencil.mu, p.x, p.y
+    N = p.pencil.N
+    gx = [None] * N
+    gy = [None] * N
+    sx = None
+    sy = None
+    for j in range(N):
+        if j == i:
+            continue
+        w = x[i] * y[j] - x[j] * y[i]
+        c = (w + w) / (mu[i] - mu[j])
+        gx[j] = -c * y[i]
+        gy[j] = c * x[i]
+        tx = c * y[j]
+        ty = c * x[j]
+        sx = tx if sx is None else sx + tx
+        sy = ty if sy is None else sy + ty
+    gx[i] = sx
+    gy[i] = -sy
+    return gx, gy
+
+
 def poisson_bracket(p: PhasePoint, a: int, b: int):
     """{f_a, f_b} at p for the canonical bracket {x_k, y_l} = delta_kl.
 
     Uses the closed-form gradients of f_i = sum_{j != i} w_ij^2/(mu_i-mu_j)
     through the pair invariants w_ij = x_i y_j - x_j y_i.
     """
-    mu, x, y = p.pencil.mu, p.x, p.y
-    N = p.pencil.N
+    ax, ay = _bracket_grads(p, a)
+    bx, by = _bracket_grads(p, b)
+    return total(ax[k] * by[k] - ay[k] * bx[k] for k in range(p.pencil.N))
 
-    def grads(i):
-        gx = [None] * N
-        gy = [None] * N
-        sx = None
-        sy = None
-        for j in range(N):
-            if j == i:
-                continue
-            w = x[i] * y[j] - x[j] * y[i]
-            c = (w + w) / (mu[i] - mu[j])
-            gx[j] = -c * y[i]
-            gy[j] = c * x[i]
-            tx = c * y[j]
-            ty = c * x[j]
-            sx = tx if sx is None else sx + tx
-            sy = ty if sy is None else sy + ty
-        gx[i] = sx
-        gy[i] = -sy
-        return gx, gy
 
-    ax, ay = grads(a)
-    bx, by = grads(b)
-    return total(ax[k] * by[k] - ay[k] * bx[k] for k in range(N))
+def bracket_mass(p: PhasePoint, a: int, b: int) -> float:
+    """sum_k |d_x f_a||d_y f_b| + |d_y f_a||d_x f_b| in float: the size of the
+    terms of {f_a, f_b} before they cancel, the scale of its rounding error."""
+    ax, ay = _bracket_grads(p, a)
+    bx, by = _bracket_grads(p, b)
+    return sum(
+        abs(as_complex(ax[k])) * abs(as_complex(by[k]))
+        + abs(as_complex(ay[k])) * abs(as_complex(bx[k]))
+        for k in range(p.pencil.N)
+    )
 
 
 # -- sampling -----------------------------------------------------------------
@@ -239,7 +252,8 @@ def sample_pencil_point(
         if len({(m.re, m.im) for m in mu}) != N:
             continue
         pencil = Pencil(mu)
-        assert not dot([m * v for m, v in zip(mu, x)], x)
+        if dot([m * v for m, v in zip(mu, x)], x):
+            raise AssertionError("sampled pencil does not satisfy sum mu_i x_i^2 = 0")
         return pencil, x
 
 

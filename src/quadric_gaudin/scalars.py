@@ -1,11 +1,11 @@
 """Exact Gaussian-rational scalars, float-complex helpers, and the one place
 the exact/float split is decided.
 
-All identity-style verification in this package runs on ``GaussianRational``
-(complex numbers with Fraction real and imaginary parts, always in lowest
-terms with positive denominators, courtesy of ``fractions.Fraction``).
-Floats appear only where genuinely needed: root extraction and the
-float-mode samplers.
+All identity-style verification in this package runs on ``GaussianRational``:
+a complex number stored as three Python ints ``(a + b i)/d`` with ``d > 0``
+and ``gcd(a, b, d) == 1``, so every value has exactly one stored form and
+each operation ends in a single gcd.  Floats appear only where genuinely
+needed: root extraction and the float-mode samplers.
 
 Zero tests are ``not v`` in both domains.  ``negligible`` and ``close`` are
 the only tolerance-aware comparisons: on exact scalars they decide exactly
@@ -20,94 +20,140 @@ import operator
 from fractions import Fraction
 from numbers import Rational
 
+_gcd = math.gcd
+
 
 def _to_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, Rational):
         return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
     raise TypeError(f"cannot build an exact scalar from {type(v).__name__}")
 
 
 class GaussianRational:
-    """A complex number a + b*i with rational a, b and exact arithmetic."""
+    """A complex number (a + b i)/d with integers a, b, d and exact arithmetic.
 
-    __slots__ = ("re", "im")
+    The stored triple is canonical: d > 0 and gcd(a, b, d) == 1 (zero is
+    (0, 0, 1)), so equality compares triples.  ``re`` and ``im`` are the
+    lowest-terms Fractions a/d and b/d.  Instances are immutable: ``re`` and
+    ``im`` are read-only and the triple is private.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_fraction(re))
-        object.__setattr__(self, "im", _to_fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _to_fraction(re), _to_fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        if q == s:
+            self._a, self._b, self._d = p, r, q
+            return
+        # over the lcm of two lowest-terms denominators the triple is canonical
+        d = q // _gcd(q, s) * s
+        self._a, self._b, self._d = p * (d // q), r * (d // s), d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "GaussianRational | None":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction, Rational)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            a, b, d = other._a, other._b, other._d
+        elif isinstance(other, int):
+            # gcd(a + n d, b, d) == gcd(a, b, d) == 1: already canonical
+            d = self._d
+            return _make(self._a + other * d, self._b, d)
+        else:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            a, b, d = t
+        e = self._d
+        if d == e:
+            return _canon(self._a + a, self._b + b, d)
+        return _canon(self._a * d + a * e, self._b * d + b * e, e * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            a, b, d = other._a, other._b, other._d
+        elif isinstance(other, int):
+            d = self._d
+            return _make(self._a - other * d, self._b, d)
+        else:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            a, b, d = t
+        e = self._d
+        if d == e:
+            return _canon(self._a - a, self._b - b, d)
+        return _canon(self._a * d - a * e, self._b * d - b * e, e * d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return o - self
+        return _make(*t) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.im == 0 and o.im == 0:
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if isinstance(other, GaussianRational):
+            a, b, d = other._a, other._b, other._d
+        elif isinstance(other, int):
+            return _canon(self._a * other, self._b * other, self._d)
+        else:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            a, b, d = t
+        p, q = self._a, self._b
+        if not b:
+            return _canon(p * a, q * a, self._d * d)
+        if not q:
+            return _canon(p * a, p * b, self._d * d)
+        return _canon(p * a - q * b, p * b + q * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n2 = o.norm2()
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        if self.im == 0 and o.im == 0:
-            return GaussianRational(self.re / o.re)
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n2,
-            (self.im * o.re - self.re * o.im) / n2,
-        )
+        if isinstance(other, GaussianRational):
+            a, b, d = other._a, other._b, other._d
+        elif isinstance(other, int):
+            if not other:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return _canon(self._a, self._b, self._d * other)
+        else:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            a, b, d = t
+        p, q = self._a, self._b
+        # (p + q i)/e / ((a + b i)/d) = (p + q i)(a - b i) d / (e (a^2 + b^2))
+        if not b:
+            if not a:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return _canon(p * d, q * d, self._d * a)
+        return _canon((p * a + q * b) * d, (q * a - p * b) * d, self._d * (a * a + b * b))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return o / self
+        return _make(*t) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -124,31 +170,37 @@ class GaussianRational:
     # -- structure --------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         """Exact |z|^2 as a Fraction."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return not (self.re.numerator or self.im.numerator)
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return bool(self.re.numerator or self.im.numerator)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._a, self._b, self._d) == t
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self.re, self.im))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        d = self._d
+        return complex(self._a / d, self._b / d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -168,21 +220,61 @@ class GaussianRational:
         r = _fraction_sqrt(r2)
         if r is None:
             return None
-        if self.im == 0:
-            a = self.re
-            if a > 0:
-                s = _fraction_sqrt(a)
+        re, im = self.re, self.im
+        if not im:
+            if re > 0:
+                s = _fraction_sqrt(re)
                 return None if s is None else GaussianRational(s)
-            s = _fraction_sqrt(-a)
+            s = _fraction_sqrt(-re)
             return None if s is None else GaussianRational(0, s)
-        c2 = (self.re + r) / 2
+        c2 = (re + r) / 2
         c = _fraction_sqrt(c2)
         if c is None or c == 0:
             return None
-        d = self.im / (2 * c)
-        root = GaussianRational(c, d)
-        assert root * root == self
+        root = GaussianRational(c, im / (2 * c))
+        if root * root != self:
+            raise AssertionError(f"square root of {self} failed its check")
         return root
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that is already canonical."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _canon(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i)/d for any d != 0, brought to canonical form by one gcd."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    # _make inlined: this runs once per arithmetic operation
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _triple(v):
+    """Canonical (a, b, d) of an int or Rational operand, else None."""
+    if isinstance(v, int):
+        return v, 0, 1
+    if isinstance(v, Rational):
+        v = _to_fraction(v)
+        return v.numerator, 0, v.denominator
+    return None
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

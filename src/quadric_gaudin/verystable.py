@@ -36,6 +36,11 @@ from .scalars import ZERO, ONE, gr, as_complex, is_exact
 from .sov import auxiliary_poly, exact_divisor
 from .unipoly import Polynomial, resultant, squarefree_factorization
 
+
+class WitnessSearchError(RuntimeError):
+    """The last-resort witness search found no exact witness in its range."""
+
+
 VERY_STABLE = "very_stable"
 WOBBLY = "wobbly"
 DEGENERATE = "degenerate"
@@ -276,7 +281,7 @@ def _witness_degenerate(x, pencil: Pencil, verdict: StabilityVerdict) -> Witness
     # over the relaxed kernel (conditions only at roots off the marked set).
     y = _marked_multiple_root_witness(x, pencil)
     if y is None:
-        raise ValueError(
+        raise WitnessSearchError(
             "wobbly via a repeated root at a deleted marked point; no witness "
             "with Gaussian-rational coordinates found in the search range"
         )

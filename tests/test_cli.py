@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from quadric_gaudin.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from quadric_gaudin.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from quadric_gaudin.serialize import (
     dumps,
     point_from_json,
@@ -224,3 +225,50 @@ def test_point_document_mixing_domains_is_usage_error(tmp_path, capsys, fix_c, c
     code, out, err = run(capsys, command, "--point", str(path))
     assert code == EXIT_USAGE
     assert out == "" and "mix exact and float scalars" in err
+
+
+def test_exhausted_witness_search_is_internal_failure(tmp_path, capsys):
+    # wobbly via a double root at the deleted marked point 0: the last-resort
+    # search over small combinations finds no witness, which is not a usage error
+    from quadric_gaudin.phase import Pencil, PhasePoint
+    from quadric_gaudin.scalars import ZERO
+
+    sixth = Fraction(1, 6)
+    pencil = Pencil([gr(m) for m in (-11, -7, 0, 7, 11)])
+    x = [gr(sixth), gr(0, sixth), ZERO, gr(0, sixth), gr(sixth)]
+    path = tmp_path / "marked.json"
+    path.write_text(dumps(point_to_json(PhasePoint(pencil, x, [ZERO] * 5))))
+    code, out, err = run(capsys, "classify", "--point", str(path))
+    assert code == EXIT_INTERNAL == 70
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "internal" and doc["type"] == "WitnessSearchError"
+    assert "no witness" in doc["detail"]
+
+
+@pytest.mark.parametrize("error", ["AssertionError", "RootFindingError"])
+def test_internal_errors_exit_70_with_one_json_line(capsys, monkeypatch, error):
+    import quadric_gaudin.cli as cli
+    from quadric_gaudin.unipoly import RootFindingError
+
+    exc = {"AssertionError": AssertionError("planted"),
+           "RootFindingError": RootFindingError("planted", [])}[error]
+
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_sample", boom)
+    code, out, err = run(capsys, "sample")
+    assert code == EXIT_INTERNAL and out == ""
+    assert json.loads(err) == {"error": "internal", "type": error, "detail": "planted"}
+
+
+def test_float_bracket_tolerance_scales_with_the_terms(capsys):
+    # mu_1 = 4 and mu_2 = 3 are close and max |y| = 28.7: the bracket's terms
+    # are large, so an absolute 1e-9 rejected this correct point
+    code, out, _ = run(capsys, "verify", "--mode", "float", "--n", "8", "--trials", "1",
+                       "--seed", "536532812438", "--skip-operators")
+    assert code == EXIT_OK
+    checks = {d["check"]: d["pass"] for d in map(json.loads, out.strip().splitlines()) if "check" in d}
+    assert checks["poisson-bracket"] is True
