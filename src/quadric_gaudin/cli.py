@@ -115,12 +115,17 @@ def _trial_point(args, trial: int) -> PhasePoint:
 
     rng = _random.Random(seed)
     span = max(args.n + 2, 12)
-    for attempt in range(64):
+    attempts = 64
+    for attempt in range(attempts):
         fp = Pencil([complex(m) for m in rng.sample(range(-span, span + 1), args.n)])
         x = sample_point_x(fp, seed + (attempt << 16), mode="float")
         y = sample_point_y(fp, x, seed ^ 0x5BD1E995 ^ (attempt << 16), mode="float")
-        if max(abs(v) for v in y) <= 40.0 and min(abs(v) for v in x[:2]) >= 0.05:
+        max_y, min_x = max(abs(v) for v in y), min(abs(v) for v in x[:2])
+        if max_y <= 40.0 and min_x >= 0.05:
             return PhasePoint(fp, x, y, tol=args.tol)
+    # every draw was ill-conditioned: keep the last one, but say so
+    sys.stderr.write(dumps({"warning": "ill-conditioned float draw", "seed": seed,
+                            "attempts": attempts, "max_abs_y": max_y, "min_abs_x12": min_x}) + "\n")
     return PhasePoint(fp, x, y, tol=args.tol)
 
 
@@ -212,13 +217,16 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
         b = pd(z) * pd(z) * phi.trace_squared_at(z)
         scale = 1.0
         if not exact:
-            # condition-aware scale: |pd(z)|^2 times the uncancelled residue mass
+            # pre-cancellation masses of both sides: |pd(z)|^2 times the
+            # uncancelled residue mass of Phi, and the Horner mass of
+            # 2(b^2 + ac), whose coefficients grow like prod |mu|
             mass = sum(
                 (abs(as_complex(pt.x[i])) ** 2 + abs(as_complex(pt.y[i])) ** 2)
                 / abs(as_complex(z) - as_complex(pt.pencil.mu[i]))
                 for i in range(N)
             )
-            scale = max(1.0, abs(as_complex(pd(z))) ** 2 * mass**2)
+            hecke_mass = triple.b.mass(z) ** 2 + triple.a.mass(z) * triple.c.mass(z)
+            scale = max(1.0, abs(as_complex(pd(z))) ** 2 * mass**2, 2 * hecke_mass)
         if not negligible(a - b, tol, scale):
             tr_ok = False
     results.append(("trace-squared-identity", tr_ok, ""))

@@ -6,8 +6,27 @@ standard so(N) basis acting on polynomials; Omega_ij = X_ij^2 and
     Delta_i = sum_{j != i} Omega_ij / (mu_i - mu_j)
 
 is the Gaudin-type second-order operator.  Everything in this module is
-exact; there is no float path.  The verification drivers apply commutators
-to exhaustive monomial bases and demand the zero polynomial.
+exact; there is no float path.  The verification drivers apply the
+relations to exhaustive monomial bases and demand exact equality.
+
+Operators act on sparse vectors: dicts from exponent tuples to exact
+scalars.  The one kernel is the column of X_ij at a monomial x^e, at most
+two integer entries (``_x_column``).  Every X_ij preserves degree, so on
+each degree block Omega_ij and Delta_i are sparse matrices; a suite builds
+their columns from those of X_ij once, on first use, and keeps them for
+that call only (``_Operators``).  A relation is then checked one basis
+monomial at a time as one sparse column, e.g. ``[Delta_i, Delta_j] e`` as
+``Delta_i(Delta_j[e]) == Delta_j(Delta_i[e])``.  ``apply_X`` and
+``apply_Delta`` apply the same columns to a ``MultiPoly`` by linearity;
+``PolyOperator`` and its builders are composition sugar on top of them.
+
+The suites that involve the pencil clear denominators once per pencil:
+mu is scaled by the common denominator L of its entries, and Delta_i by
+prod_{k != i} (mu_i - mu_k), so Delta_i has the Gaussian-integer weights
+prod_{k != i, j} (mu_i - mu_k) and no division is left.  This is exact:
+every identity checked is homogeneous in mu and linear in each Delta_i
+(the descent correction (4d + 2N) x_i^2 f is scaled by the same factor),
+so the scaled identity vanishes exactly when the original one does.
 
 Useful exact identities (all checked by the test suite):
 
@@ -22,10 +41,11 @@ and the twist at which the descent remainder cancels is k = -(N-4)/2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .multipoly import MultiPoly, quadric, reduce_mod_quadrics, weighted_quadric
+from .multipoly import MultiPoly, reduce_mod_quadrics
 from .phase import Pencil, PhasePoint
 from .scalars import GaussianRational, ONE, gr
 
@@ -69,16 +89,134 @@ class PolyOperator:
         )
 
 
+# -- the kernel: sparse columns on the monomial basis ------------------------
+
+
+def _x_column(i: int, j: int, e: tuple) -> dict:
+    """X_ij x^e = e_j x^(e + 1_i - 1_j) - e_i x^(e - 1_i + 1_j), as a sparse vector."""
+    out = {}
+    if e[j]:
+        g = list(e)
+        g[i] += 1
+        g[j] -= 1
+        out[tuple(g)] = e[j]
+    if e[i]:
+        g = list(e)
+        g[i] -= 1
+        g[j] += 1
+        out[tuple(g)] = -e[i]
+    return out
+
+
+def _apply(op, vec: dict) -> dict:
+    """The operator with columns op[e] applied to vec by linearity; no zero entries."""
+    out = {}
+    for e, c in vec.items():
+        for g, w in op[e].items():
+            s = out.get(g)
+            s = c * w if s is None else s + c * w
+            if s:
+                out[g] = s
+            else:
+                out.pop(g, None)
+    return out
+
+
+def _combine(pairs) -> dict:
+    """sum of c * v over (c, v) pairs: the vectors as the columns of an operator,
+    applied to the coefficients."""
+    pairs = list(pairs)
+    return _apply([v for _, v in pairs], {k: c for k, (c, _) in enumerate(pairs)})
+
+
+def _shift(vec: dict, s: tuple) -> dict:
+    """vec times the monomial x^s."""
+    return {tuple(a + b for a, b in zip(e, s)): c for e, c in vec.items()}
+
+
+def _square(N: int, i: int) -> tuple:
+    e = [0] * N
+    e[i] = 2
+    return tuple(e)
+
+
+def _times_squares(vec: dict, coeffs) -> dict:
+    """vec times sum_k coeffs[k] x_k^2 (q for unit coefficients, q1 for mu)."""
+    N = len(coeffs)
+    return _combine((c, _shift(vec, _square(N, k))) for k, c in enumerate(coeffs))
+
+
+class _Columns(dict):
+    """The columns of one operator, each built on first use."""
+
+    __slots__ = ("column",)
+
+    def __init__(self, column):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, e):
+        col = self[e] = self.column(e)
+        return col
+
+
+def _sum(*ops) -> _Columns:
+    return _Columns(lambda e: _combine((1, op[e]) for op in ops))
+
+
+class _Operators:
+    """Column tables of X_ij, Omega_ij and Delta_i for one call.
+
+    ``weights[i]`` maps j to the weight of Omega_ij in Delta_i.  Since
+    X_ij preserves degree, the tables fill one degree block at a time;
+    nothing outlives the call that made the instance.
+    """
+
+    def __init__(self, weights=None):
+        self.weights = weights
+        self._tables: dict = {}
+
+    def _table(self, key, column) -> _Columns:
+        t = self._tables.get(key)
+        if t is None:
+            t = self._tables[key] = _Columns(column)
+        return t
+
+    def X(self, i: int, j: int) -> _Columns:
+        return self._table(("X", i, j), lambda e: _x_column(i, j, e))
+
+    def omega(self, i: int, j: int) -> _Columns:
+        if i > j:  # X_ji = -X_ij, so Omega_ji = Omega_ij
+            i, j = j, i
+        x = self.X(i, j)
+        return self._table(("Omega", i, j), lambda e: _apply(x, x[e]))
+
+    def delta(self, i: int) -> _Columns:
+        terms = [(w, self.omega(i, j)) for j, w in self.weights[i].items()]
+        return self._table(("Delta", i), lambda e: _combine((w, om[e]) for w, om in terms))
+
+
+def _cleared(pencil: Pencil):
+    """The weights of Delta_i scaled by prod_{k != i} (mu_i - mu_k), with mu
+    scaled by its common denominator; returns (weights, mu, scales)."""
+    N = pencil.N
+    L = math.lcm(*(x.denominator for m in pencil.mu for x in (m.re, m.im)))
+    mu = [m * L for m in pencil.mu]
+    diff = [[mu[i] - mu[k] for k in range(N)] for i in range(N)]
+    weights = [
+        {j: math.prod((diff[i][k] for k in range(N) if k not in (i, j)), start=ONE)
+         for j in range(N) if j != i}
+        for i in range(N)
+    ]
+    scales = [math.prod((diff[i][k] for k in range(N) if k != i), start=ONE) for i in range(N)]
+    return weights, mu, scales
+
+
 def apply_X(i: int, j: int, f: MultiPoly) -> MultiPoly:
     """x_i df/dx_j - x_j df/dx_i, exact."""
     if i == j:
         raise ValueError("rotation needs two distinct indices")
-    n = f.nvars
-    ei = [0] * n
-    ei[i] = 1
-    ej = [0] * n
-    ej[j] = 1
-    return f.diff(j).mul_monomial(tuple(ei)) - f.diff(i).mul_monomial(tuple(ej))
+    return MultiPoly(f.nvars, _apply(_Operators().X(i, j), f.terms))
 
 
 def X(nvars: int, i: int, j: int) -> PolyOperator:
@@ -94,12 +232,8 @@ def Omega(nvars: int, i: int, j: int) -> PolyOperator:
 def apply_Delta(i: int, f: MultiPoly, pencil: Pencil) -> MultiPoly:
     """sum_{j != i} X_ij(X_ij(f)) / (mu_i - mu_j), exact."""
     mu = pencil.mu
-    out = MultiPoly.zero(f.nvars)
-    for j in range(pencil.N):
-        if j == i:
-            continue
-        out = out + apply_X(i, j, apply_X(i, j, f)).scale(ONE / (mu[i] - mu[j]))
-    return out
+    weights = {i: {j: ONE / (mu[i] - mu[j]) for j in range(pencil.N) if j != i}}
+    return MultiPoly(f.nvars, _apply(_Operators(weights).delta(i), f.terms))
 
 
 def Delta(pencil: Pencil, i: int) -> PolyOperator:
@@ -120,14 +254,26 @@ def euler(nvars: int) -> PolyOperator:
     return PolyOperator(nvars, fn, "E")
 
 
-def monomials_up_to(nvars: int, dmax: int):
-    """All monomials of total degree <= dmax, deterministic order."""
+def _exponents(nvars: int, dmax: int) -> list:
+    """Exponent tuples of total degree <= dmax, degree by degree."""
+    out = []
     for d in range(dmax + 1):
         for combo in itertools.combinations_with_replacement(range(nvars), d):
             e = [0] * nvars
             for i in combo:
                 e[i] += 1
-            yield MultiPoly.monomial(nvars, tuple(e))
+            out.append(tuple(e))
+    return out
+
+
+def monomials_up_to(nvars: int, dmax: int):
+    """All monomials of total degree <= dmax, deterministic order."""
+    for e in _exponents(nvars, dmax):
+        yield MultiPoly.monomial(nvars, e)
+
+
+def _show(e: tuple) -> str:
+    return repr(MultiPoly.monomial(len(e), e))
 
 
 @dataclass
@@ -142,14 +288,20 @@ class RelationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, label: str, value: MultiPoly) -> None:
+    def check(self, ok: bool, label) -> None:
+        """Count one case; a failed one records label(), which is built only then."""
         self.cases_checked += 1
-        if not value.is_zero():
-            self.failures.append(label)
+        if not ok:
+            self.failures.append(label())
 
     @property
     def first_counterexample(self):
         return self.failures[0] if self.failures else None
+
+
+def _commutes(a, b, e: tuple) -> bool:
+    """[A, B] x^e = 0, for operators given by their columns."""
+    return _apply(a, b[e]) == _apply(b, a[e])
 
 
 def default_dmax(N: int) -> int:
@@ -164,7 +316,8 @@ def verify_kohno_drinfeld(N: int, dmax: int | None = None) -> list[RelationRepor
         raise ValueError("the four-distinct-index relation needs N >= 4")
     if dmax is None:
         dmax = default_dmax(N)
-    basis = list(monomials_up_to(N, dmax))
+    basis = _exponents(N, dmax)
+    ops = _Operators()
 
     disjoint = RelationReport("[Om_ij, Om_kl] = 0 for disjoint pairs")
     for (i, j), (k, l) in itertools.combinations(
@@ -172,27 +325,28 @@ def verify_kohno_drinfeld(N: int, dmax: int | None = None) -> list[RelationRepor
     ):
         if {i, j} & {k, l}:
             continue
-        comm = Omega(N, i, j).commutator(Omega(N, k, l))
-        for m in basis:
-            disjoint.check(f"[Om{i}{j},Om{k}{l}] on {m!r}", comm(m))
+        a, b = ops.omega(i, j), ops.omega(k, l)
+        for e in basis:
+            disjoint.check(_commutes(a, b, e), lambda: f"[Om{i}{j},Om{k}{l}] on {_show(e)}")
 
     shared = RelationReport("[Om_ij, Om_ik + Om_jk] = 0")
     casimir = RelationReport("[Om_ij, Om_ij + Om_ik + Om_jk] = 0")
     for i, j, k in itertools.combinations(range(N), 3):
-        oij, oik, ojk = Omega(N, i, j), Omega(N, i, k), Omega(N, j, k)
-        comm = oij.commutator(oik + ojk)
-        cas = oij.commutator(oij + oik + ojk)
-        for m in basis:
-            shared.check(f"[Om{i}{j},Om{i}{k}+Om{j}{k}] on {m!r}", comm(m))
-            casimir.check(f"Casimir ({i},{j},{k}) on {m!r}", cas(m))
+        oij = ops.omega(i, j)
+        pair = _sum(ops.omega(i, k), ops.omega(j, k))
+        total = _sum(oij, pair)
+        for e in basis:
+            shared.check(
+                _commutes(oij, pair, e), lambda: f"[Om{i}{j},Om{i}{k}+Om{j}{k}] on {_show(e)}"
+            )
+            casimir.check(_commutes(oij, total, e), lambda: f"Casimir ({i},{j},{k}) on {_show(e)}")
 
     so3 = RelationReport("[X_ij, X_ik] = -X_jk")
     for i, j, k in itertools.combinations(range(N), 3):
-        lhs = X(N, i, j).commutator(X(N, i, k))
-        for m in basis:
-            so3.check(
-                f"so(3) ({i},{j},{k}) on {m!r}", lhs(m) + apply_X(j, k, m)
-            )
+        xij, xik, xjk = ops.X(i, j), ops.X(i, k), ops.X(j, k)
+        for e in basis:
+            lhs = _combine(((1, _apply(xij, xik[e])), (1, xjk[e])))
+            so3.check(lhs == _apply(xik, xij[e]), lambda: f"so(3) ({i},{j},{k}) on {_show(e)}")
     return [disjoint, shared, casimir, so3]
 
 
@@ -202,19 +356,47 @@ def verify_commutation(
     """[Delta_i, Delta_j] = 0 on every monomial of degree <= dmax.
 
     This is an identity on all polynomials, not only modulo the quadrics.
+    The Delta_i are scaled to clear denominators (see the module docstring).
     """
     if pencil.N != N:
         raise ValueError("pencil size mismatch")
     if dmax is None:
         dmax = default_dmax(N)
     report = RelationReport("[Delta_i, Delta_j] = 0")
-    basis = list(monomials_up_to(N, dmax))
-    deltas = [Delta(pencil, i) for i in range(N)]
+    basis = _exponents(N, dmax)
+    ops = _Operators(_cleared(pencil)[0])
     for i, j in itertools.combinations(range(N), 2):
-        comm = deltas[i].commutator(deltas[j])
-        for m in basis:
-            report.check(f"[Delta{i},Delta{j}] on {m!r}", comm(m))
+        a, b = ops.delta(i), ops.delta(j)
+        for e in basis:
+            report.check(_commutes(a, b, e), lambda: f"[Delta{i},Delta{j}] on {_show(e)}")
     return report
+
+
+def _check_descent(report, pencil: Pencil, cleared, i: int, cases) -> None:
+    """The two descent cases at i for each (f, d) in cases, f a homogeneous
+    sparse vector of degree d, with Delta_i and the correction scaled alike
+    (see the module docstring)."""
+    weights, mu, scales = cleared
+    N = len(mu)
+    # the columns reached at one i are few and used about twice each, so
+    # they are kept only while i is checked
+    delta = _Operators(weights).delta(i)
+    ones = [1] * N
+    for f, d in cases:
+        df = _apply(delta, f)
+        remainder = _combine((
+            (1, _apply(delta, _times_squares(f, mu))),
+            (-1, _times_squares(df, mu)),
+            (scales[i] * (4 * d + 2 * N), _shift(f, _square(N, i))),
+        ))
+        report.check(
+            reduce_mod_quadrics(MultiPoly(N, remainder), pencil, mode="q-only").is_zero(),
+            lambda: f"q1-descent remainder mod q (d={d})",
+        )
+        report.check(
+            _apply(delta, _times_squares(f, ones)) == _times_squares(df, ones),
+            lambda: f"Delta_i(f q) = Delta_i(f) q (d={d})",
+        )
 
 
 def verify_descent(i: int, f: MultiPoly, pencil: Pencil) -> RelationReport:
@@ -225,24 +407,8 @@ def verify_descent(i: int, f: MultiPoly, pencil: Pencil) -> RelationReport:
     """
     if not f.is_homogeneous():
         raise ValueError("descent check needs homogeneous f")
-    N = pencil.N
     report = RelationReport(f"descent through q1 at i={i}")
-    d = max(f.total_degree(), 0)
-    q = quadric(N)
-    q1 = weighted_quadric(pencil.mu)
-    lhs = apply_Delta(i, f * q1, pencil)
-    sqi = [0] * N
-    sqi[i] = 2
-    correction = f.mul_monomial(tuple(sqi), gr(4 * d + 2 * N))
-    remainder = lhs - apply_Delta(i, f, pencil) * q1 + correction
-    report.check(
-        f"q1-descent remainder mod q (d={d})",
-        reduce_mod_quadrics(remainder, pencil, mode="q-only"),
-    )
-    report.check(
-        f"Delta_i(f q) = Delta_i(f) q (d={d})",
-        apply_Delta(i, f * q, pencil) - apply_Delta(i, f, pencil) * q,
-    )
+    _check_descent(report, pencil, _cleared(pencil), i, [(f.terms, max(f.total_degree(), 0))])
     return report
 
 
@@ -253,11 +419,10 @@ def verify_descent_suite(
     if dmax is None:
         dmax = default_dmax(N) - 1
     report = RelationReport("descent suite")
+    cleared = _cleared(pencil)
+    cases = [({e: 1}, sum(e)) for e in _exponents(N, dmax)]
     for i in range(N):
-        for m in monomials_up_to(N, dmax):
-            sub = verify_descent(i, m, pencil)
-            report.cases_checked += sub.cases_checked
-            report.failures.extend(sub.failures)
+        _check_descent(report, pencil, cleared, i, cases)
     return report
 
 
@@ -265,19 +430,21 @@ def verify_delta_q1(pencil: Pencil) -> RelationReport:
     """Delta_i q1 = -2N x_i^2 + 2q exactly; so -2N x_i^2 modulo q."""
     N = pencil.N
     report = RelationReport("Delta_i q1 = -2N x_i^2 (mod q)")
-    q = quadric(N)
-    q1 = weighted_quadric(pencil.mu)
+    weights, mu, scales = _cleared(pencil)
+    ops = _Operators(weights)
+    one = {(0,) * N: 1}
+    q, q1 = _times_squares(one, [1] * N), _times_squares(one, mu)
     for i in range(N):
-        sqi = [0] * N
-        sqi[i] = 2
-        got = apply_Delta(i, q1, pencil)
-        exact_form = got + MultiPoly.monomial(N, tuple(sqi), gr(2 * N)) - q.scale(gr(2))
-        report.check(f"exact form at i={i}", exact_form)
+        got = _apply(ops.delta(i), q1)
+        sqi = {_square(N, i): 1}
         report.check(
-            f"mod-q form at i={i}",
-            reduce_mod_quadrics(
-                got + MultiPoly.monomial(N, tuple(sqi), gr(2 * N)), pencil, mode="q-only"
-            ),
+            got == _combine(((2 * scales[i], q), (-2 * N * scales[i], sqi))),
+            lambda: f"exact form at i={i}",
+        )
+        mod_q = _combine(((1, got), (2 * N * scales[i], sqi)))
+        report.check(
+            reduce_mod_quadrics(MultiPoly(N, mod_q), pencil, mode="q-only").is_zero(),
+            lambda: f"mod-q form at i={i}",
         )
     return report
 
@@ -290,32 +457,29 @@ def verify_symbol_pairing(pencil: Pencil, dmax: int | None = None) -> RelationRe
     """
     N = pencil.N
     report = RelationReport("symbol of Delta_i against dq1")
-    q = quadric(N)
-    E = euler(N)
+    ops = _Operators()
+    ones = [1] * N
+    basis = _exponents(N, 2 if dmax is None else dmax)
     for i in range(N):
-        ei = [0] * N
-        ei[i] = 1
-
-        def op(f, i=i, ei=tuple(ei)):
-            acc = MultiPoly.zero(N)
-            for j in range(N):
-                if j == i:
-                    continue
-                ej = [0] * N
-                ej[j] = 1
-                term = apply_X(i, j, f).mul_monomial(tuple(ej)).mul_monomial(ei)
-                acc = acc - term.scale(gr(4))
-            sqi = [0] * N
-            sqi[i] = 2
-            return acc + E(f).mul_monomial(tuple(sqi), gr(4))
-
-        for m in monomials_up_to(N, 2 if dmax is None else dmax):
-            got = op(m)
-            exact_form = got - (q * m.diff(i).mul_monomial(tuple(ei))).scale(gr(4))
-            report.check(f"exact form i={i} on {m!r}", exact_form)
+        pairs = []
+        for j in range(N):
+            if j != i:
+                s = [0] * N
+                s[i] += 1
+                s[j] += 1
+                pairs.append((ops.X(i, j), tuple(s)))
+        for e in basis:
+            # E x^e = deg(e) x^e and x_i d_i x^e = e_i x^e
+            got = _combine(
+                [(-4, _shift(x[e], s)) for x, s in pairs]
+                + [(4 * sum(e), _shift({e: 1}, _square(N, i)))]
+            )
             report.check(
-                f"mod q i={i} on {m!r}",
-                reduce_mod_quadrics(got, pencil, mode="q-only"),
+                got == _times_squares({e: 4 * e[i]}, ones), lambda: f"exact form i={i} on {_show(e)}"
+            )
+            report.check(
+                reduce_mod_quadrics(MultiPoly(N, got), pencil, mode="q-only").is_zero(),
+                lambda: f"mod q i={i} on {_show(e)}",
             )
     return report
 

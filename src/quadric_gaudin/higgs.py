@@ -203,17 +203,26 @@ class HeckeTriple:
 FLOAT_TRIM = 1e-9
 
 
-def _trim_float(p: Polynomial, bound: int | None = None) -> Polynomial:
-    """Drop trailing float coefficients that are cancellation dust.
+def _trim_float(p: Polynomial, weights, pencil: Pencil) -> Polynomial:
+    """Drop trailing float coefficients of p = sum_i w_i L_i that are
+    cancellation dust.
 
-    Float degrees are descriptive: a coefficient below FLOAT_TRIM times the
-    coefficient scale counts as zero.  Exact polynomials pass through.
+    Float degrees are descriptive: coefficient k counts as zero when it is
+    at most FLOAT_TRIM times its pre-cancellation mass sum_i |w_i| |L_i,k|.
+    The mass is per coefficient, not the largest coefficient: those grow
+    like prod |mu|, and a genuine leading coefficient can be far smaller.
+    Exact polynomials pass through.
     """
     if p.exact or p.is_zero():
         return p
-    scale = p.coeff_scale()
+    ws = [abs(as_complex(w)) for w in weights]
+    Ls = pencil.lagrange_numerators()
     cs = list(p.coeffs)
-    while cs and abs(cs[-1]) <= FLOAT_TRIM * scale:
+    while cs:
+        k = len(cs) - 1
+        mass = sum(w * abs(as_complex(L.coeffs[k])) for w, L in zip(ws, Ls))
+        if abs(cs[-1]) > FLOAT_TRIM * mass:
+            break
         cs.pop()
     return Polynomial(cs)
 
@@ -236,9 +245,9 @@ def hecke_transform(point: PhasePoint) -> HeckeTriple:
         b = b + L.scale(x[i] * y[i])
         c = c + L.scale(x[i] * x[i])
     if not point.exact:
-        a = _trim_float(a, n + 2)
-        b = _trim_float(b, n + 1)
-        c = _trim_float(c, n)
+        a = _trim_float(a, [v * v for v in y], pencil)
+        b = _trim_float(b, [u * v for u, v in zip(x, y)], pencil)
+        c = _trim_float(c, [u * u for u in x], pencil)
     elif c.degree > n or b.degree > n + 1 or a.degree > n + 2:
         raise AssertionError("Hecke degree bounds violated; point not constrained?")
     return HeckeTriple(a=a, b=b, c=c)

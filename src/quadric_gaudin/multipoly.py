@@ -203,7 +203,10 @@ def reduce_mod_quadrics(f: MultiPoly, pencil, mode: str = "q-and-q1") -> MultiPo
 
     Rewrites x_1^2 (and x_2^2 in two-quadric mode) using the relations; the
     leading terms x_1^2, x_2^2 are coprime so the rewriting is confluent and
-    the result is zero exactly when f lies in the chosen ideal.
+    the result is zero exactly when f lies in the chosen ideal.  The rules
+    bring in only x_2^2 .. x_N^2 (x_3^2 .. in two-quadric mode), so one pass
+    per rewritten variable, from its highest power down, reaches the normal
+    form.
     """
     if mode not in ("q-only", "q-and-q1"):
         raise ValueError(f"unknown reduction mode {mode!r}")
@@ -214,34 +217,32 @@ def reduce_mod_quadrics(f: MultiPoly, pencil, mode: str = "q-and-q1") -> MultiPo
     if mode == "q-and-q1" and mu[0] == mu[1]:
         raise ValueError("degenerate pencil: mu_1 = mu_2")
 
-    # rewrite rules as polynomials in the remaining variables
-    def sq(i):
-        e = [0] * n
-        e[i] = 2
-        return tuple(e)
-
-    rule1 = MultiPoly(n, {sq(i): -ONE for i in range(1, n)})  # x1^2 -> -(x2^2+...)
-    rules = {0: rule1}
-    if mode == "q-and-q1":
+    # rewrite rules x_v^2 -> sum_k c_k x_k^2, as (v, [(k, c_k), ...])
+    if mode == "q-only":
+        rules = [(0, [(k, -ONE) for k in range(1, n)])]  # x1^2 -> -(x2^2+...)
+    else:
         d = mu[0] - mu[1]
         # mu2*q - q1 eliminates x2^2:  x1^2 = sum_{i>=3} (mu2-mu_i)/(mu1-mu2) x_i^2
-        rules[0] = MultiPoly(n, {sq(i): (mu[1] - mu[i]) / d for i in range(2, n)})
-        rules[1] = MultiPoly(n, {sq(i): (mu[i] - mu[0]) / d for i in range(2, n)})
+        rules = [
+            (0, [(k, (mu[1] - mu[k]) / d) for k in range(2, n)]),
+            (1, [(k, (mu[k] - mu[0]) / d) for k in range(2, n)]),
+        ]
 
-    work = f
-    while True:
-        target = None
-        for e in work.terms:
-            for v in rules:
-                if e[v] >= 2:
-                    target = (e, v)
-                    break
-            if target:
-                break
-        if target is None:
-            return work
-        e, v = target
-        c = work.terms[e]
-        rest = list(e)
-        rest[v] -= 2
-        work = work - MultiPoly(n, {e: c}) + rules[v].mul_monomial(tuple(rest), c)
+    work = dict(f.terms)
+    for v, rule in rules:
+        top = max((e[v] for e in work), default=0)
+        for p in range(top, 1, -1):
+            for e in [e for e in work if e[v] == p]:
+                c = work.pop(e)
+                for k, r in rule:
+                    g = list(e)
+                    g[v] -= 2
+                    g[k] += 2
+                    g = tuple(g)
+                    s = work.get(g)
+                    s = c * r if s is None else s + c * r
+                    if s:
+                        work[g] = s
+                    else:
+                        work.pop(g, None)
+    return MultiPoly(n, work)

@@ -149,12 +149,12 @@ def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
         )
         pdz = pd(z)
         hecke_ok = all(
-            _close(got, want)
-            for got, want in (
-                (alpha * pdz, triple.b(z)),
-                (beta * pdz, -triple.c(z)),
-                (gamma * pdz, -triple.a(z)),
-                (delta * pdz, -triple.b(z)),
+            _close(got, want, 0.0 if point.exact else poly.mass(z) + abs(coef) * pd.mass(z))
+            for got, want, poly, coef in (
+                (alpha * pdz, triple.b(z), triple.b, alpha),
+                (beta * pdz, -triple.c(z), triple.c, beta),
+                (gamma * pdz, -triple.a(z), triple.a, gamma),
+                (delta * pdz, -triple.b(z), triple.b, delta),
             )
         )
         out.append(
@@ -194,8 +194,10 @@ def _express(w, u, v):
     raise _DependentFrame
 
 
-def _close(got, want, tol: float = 1e-9) -> bool:
-    return close(got, want, tol, 1.0 + abs(as_complex(got)) + abs(as_complex(want)))
+def _close(got, want, mass: float = 0.0, tol: float = 1e-9) -> bool:
+    """got == want, exactly, or in float up to tol relative to their size plus
+    mass, the pre-cancellation mass of the evaluations that produced them."""
+    return close(got, want, tol, 1.0 + abs(as_complex(got)) + abs(as_complex(want)) + mass)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .scalars import as_complex, close, dot, is_exact, negligible, total
 from .unipoly import (
     DEFAULT_ROOT_TOL,
     Polynomial,
+    RootFindingError,
     clustered_roots,
     squarefree_factorization,
 )
@@ -56,7 +57,7 @@ def auxiliary_poly(x, pencil: Pencil) -> Polynomial:
         raise ValueError("auxiliary polynomial exceeds degree n: x unconstrained")
     from .higgs import _trim_float
 
-    return _trim_float(p, pencil.n)
+    return _trim_float(p, [xi * xi for xi in x], pencil)
 
 
 def point_from_polynomial(target: Polynomial, pencil: Pencil, mode: str = "exact"):
@@ -139,7 +140,9 @@ def exact_divisor(p: Polynomial, n: int, tol: float = DEFAULT_ROOT_TOL):
     """Finite roots (float positions, exact multiplicities) and inf multiplicity.
 
     Multiplicities come from the exact squarefree factorization; the float
-    roots of each factor only locate them.
+    roots of each factor only locate them.  Raises RootFindingError when
+    they cannot tell the roots of a squarefree factor apart, so the
+    multiplicities always sum to deg p.
     """
     if p.is_zero():
         raise ValueError("zero auxiliary polynomial")
@@ -148,6 +151,13 @@ def exact_divisor(p: Polynomial, n: int, tol: float = DEFAULT_ROOT_TOL):
         for factor, k in squarefree_factorization(p)
         for r, _ in clustered_roots(factor.to_float(), tol)
     ]
+    # a squarefree factor has simple roots: a float cluster of several merges
+    # distinct roots, and the multiplicities then fall short of deg p
+    if sum(k for _, k in finite) != p.degree:
+        raise RootFindingError(
+            "float roots cannot separate the roots of a squarefree factor",
+            [r for r, _ in finite],
+        )
     finite.sort(key=lambda t: (t[0].real, t[0].imag))
     return tuple(finite), n - p.degree
 

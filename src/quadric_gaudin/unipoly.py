@@ -189,6 +189,12 @@ class Polynomial:
             return 0.0
         return max(abs(as_complex(c)) for c in self.coeffs)
 
+    def mass(self, z) -> float:
+        """sum_k |c_k| |z|^k: the terms Horner's rule adds at z before they
+        cancel.  A float evaluation's error scales with this, not with the value."""
+        r = abs(as_complex(z))
+        return sum(abs(as_complex(c)) * r**k for k, c in enumerate(self.coeffs))
+
 
 # -- gcd / squarefree machinery (exact scalars only) -------------------------
 

@@ -272,3 +272,33 @@ def test_float_bracket_tolerance_scales_with_the_terms(capsys):
     assert code == EXIT_OK
     checks = {d["check"]: d["pass"] for d in map(json.loads, out.strip().splitlines()) if "check" in d}
     assert checks["poisson-bracket"] is True
+
+
+@pytest.mark.parametrize("n, seed", [(12, 2), (10, 482133599175), (9, 131020212994)])
+def test_float_hecke_checks_hold_where_coefficients_grow(capsys, n, seed):
+    # the Hecke coefficients grow like prod |mu|; these correct points used
+    # to fail trace-squared-identity and orthomodel
+    code, out, _ = run(capsys, "verify", "--mode", "float", "--n", str(n), "--trials", "1",
+                       "--seed", str(seed), "--skip-operators")
+    assert code == EXIT_OK
+    checks = {d["check"]: d["pass"] for d in map(json.loads, out.strip().splitlines()) if "check" in d}
+    assert checks and all(checks.values()), checks
+
+
+def test_float_fallback_draw_is_reported(capsys, monkeypatch):
+    from quadric_gaudin import cli
+
+    # scaling y keeps its constraints but puts max |y| above 40 on every draw
+    sample_y = cli.sample_point_y
+    monkeypatch.setattr(cli, "sample_point_y", lambda *a, **k: [1e3 * v for v in sample_y(*a, **k)])
+    code, out, err = run(capsys, "sample", "--mode", "float", "--n", "6", "--trials", "1", "--seed", "3")
+    assert code == EXIT_OK and len(out.strip().splitlines()) == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    warning = json.loads(lines[0])
+    assert warning["warning"] == "ill-conditioned float draw"
+    assert warning["seed"] == 3 and warning["attempts"] == 64 and warning["max_abs_y"] > 40.0
+    # a well-conditioned draw says nothing
+    monkeypatch.undo()
+    code, _, err = run(capsys, "sample", "--mode", "float", "--n", "6", "--trials", "1", "--seed", "3")
+    assert code == EXIT_OK and err == ""

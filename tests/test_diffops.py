@@ -159,3 +159,78 @@ def test_canonical_twist_values():
     t5 = canonical_twist(5)
     assert t5.k == Fraction(-1, 2) and not t5.integral
     assert t5.remainder_coefficient_is_zero
+
+
+# -- the sparse-column kernel -----------------------------------------------
+
+
+def _X_reference(i, j, f):
+    """X_ij from its definition, x_i d_j - x_j d_i, on MultiPoly arithmetic."""
+    n = f.nvars
+    ei = tuple(1 if k == i else 0 for k in range(n))
+    ej = tuple(1 if k == j else 0 for k in range(n))
+    return f.diff(j).mul_monomial(ei) - f.diff(i).mul_monomial(ej)
+
+
+def test_kernel_columns_match_the_definition():
+    from quadric_gaudin.diffops import _cleared, _Operators
+
+    N = 5
+    pencil = Pencil([gr(v) for v in (Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(5, 3), Fraction(2))])
+    mu = pencil.mu
+    weights, _, scales = _cleared(pencil)
+    ops = _Operators(weights)
+    # the cleared columns are Delta_i scaled by prod_{k != i} (mu_i - mu_k) with
+    # mu scaled by its common denominator L = 6: that is scales[i] / L
+    L = 6
+    for m in monomials_up_to(N, 3):
+        (e,) = m.terms
+        for i in range(N):
+            for j in range(N):
+                if j != i:
+                    assert apply_X(i, j, m) == _X_reference(i, j, m)
+            ref = MultiPoly.zero(N)
+            for j in range(N):
+                if j != i:
+                    ref = ref + _X_reference(i, j, _X_reference(i, j, m)).scale(gr(1) / (mu[i] - mu[j]))
+            assert apply_Delta(i, m, pencil) == ref
+            assert MultiPoly(N, ops.delta(i)[e]) == ref.scale(scales[i] / L)
+
+
+def test_planted_delta_weight_fault_is_caught(monkeypatch):
+    from quadric_gaudin import diffops
+
+    clear = diffops._cleared
+
+    def flipped(pencil):
+        weights, mu, scales = clear(pencil)
+        weights[0][2] = -weights[0][2]
+        return weights, mu, scales
+
+    monkeypatch.setattr(diffops, "_cleared", flipped)
+    pencil = Pencil([gr(k) for k in (0, 1, 3, -2, 5)])
+    # on degree <= 1 every Delta_i is diagonal, so the flipped weight commutes
+    assert verify_commutation(5, pencil, 1).passed
+    rep = verify_commutation(5, pencil, 2)
+    assert not rep.passed and rep.cases_checked == 10 * 21
+    m = MultiPoly.monomial(5, (2, 0, 0, 0, 0))
+    assert rep.first_counterexample == f"[Delta0,Delta1] on {m!r}"
+
+
+def test_suites_at_scale_n10():
+    import math
+    import time
+
+    N = 10
+    pencil = Pencil([gr(k) for k in range(N)])
+    t0 = time.time()
+    B4, B3 = math.comb(N + 4, 4), math.comb(N + 3, 3)
+    kd = verify_kohno_drinfeld(N, 4)
+    assert [r.cases_checked for r in kd] == [3 * math.comb(N, 4) * B4] + [math.comb(N, 3) * B4] * 3
+    assert all(r.passed for r in kd), [r.first_counterexample for r in kd]
+    comm = verify_commutation(N, pencil, 4)
+    assert comm.passed and comm.cases_checked == math.comb(N, 2) * B4
+    descent = verify_descent_suite(N, pencil, 3)
+    assert descent.passed and descent.cases_checked == 2 * N * B3
+    elapsed = time.time() - t0
+    assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds the 120s bound of C8"

@@ -190,3 +190,20 @@ def test_spectral_squarefree_generically():
         if s.degree >= 1 and not resultant(s, s.derivative()).is_zero():
             hits += 1
     assert hits >= 18
+
+
+def test_float_hecke_keeps_small_leading_coefficients():
+    # N = 10: the leading coefficient of a, -sum y_i^2 = -0.88, is below
+    # 1e-9 times a's coefficient scale (1.1e9, which grows like prod |mu|),
+    # yet it is no cancellation dust: a keeps its degree n + 2
+    import argparse
+
+    from quadric_gaudin.cli import _trial_point
+
+    args = argparse.Namespace(seed=482133599175, mu=None, mode="float", n=10, tol=1e-9)
+    pt = _trial_point(args, 0)
+    triple = hecke_transform(pt)
+    assert triple.a.degree == pt.pencil.n + 2
+    lead = -sum(v * v for v in pt.y)
+    assert abs(triple.a.lead() - lead) <= 1e-9 * abs(lead)
+    assert abs(lead) < 1e-9 * triple.a.coeff_scale()

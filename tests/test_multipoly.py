@@ -116,3 +116,39 @@ def test_degenerate_pencil_rejected():
         bad.N = 5
         bad.n = 2
         reduce_mod_quadrics(quadric(5), bad, "q-and-q1")
+
+
+def _reduce_by_rescanning(f, pencil, mode):
+    """Reference normal form: rewrite the first reducible term, rescan, repeat."""
+    mu, n = pencil.mu, f.nvars
+
+    def sq(i):
+        return tuple(2 if k == i else 0 for k in range(n))
+
+    if mode == "q-only":
+        rules = {0: MultiPoly(n, {sq(i): gr(-1) for i in range(1, n)})}
+    else:
+        d = mu[0] - mu[1]
+        rules = {
+            0: MultiPoly(n, {sq(i): (mu[1] - mu[i]) / d for i in range(2, n)}),
+            1: MultiPoly(n, {sq(i): (mu[i] - mu[0]) / d for i in range(2, n)}),
+        }
+    work = f
+    while True:
+        target = next(((e, v) for e in work.terms for v in rules if e[v] >= 2), None)
+        if target is None:
+            return work
+        e, v = target
+        c = work.terms[e]
+        rest = list(e)
+        rest[v] -= 2
+        work = work - MultiPoly(n, {e: c}) + rules[v].mul_monomial(tuple(rest), c)
+
+
+def test_reduce_matches_rescanning_reference():
+    rng = random.Random(11)
+    pencil = Pencil([gr(3), gr(-1), gr(1, 2), gr(7), gr(-4)])
+    for mode in ("q-only", "q-and-q1"):
+        for _ in range(25):
+            f = _random_poly(rng, terms=8, dmax=6)
+            assert reduce_mod_quadrics(f, pencil, mode) == _reduce_by_rescanning(f, pencil, mode)

@@ -187,3 +187,22 @@ def test_h_reconstruction_from_root_values_is_unique(fix_c):
         assert complex(h2.coeff(k)) == pytest.approx(
             complex(rep.h_direct.coeff(k)), rel=1e-9, abs=1e-9
         )
+
+
+def test_exact_divisor_refuses_to_merge_close_simple_roots():
+    from fractions import Fraction
+
+    from quadric_gaudin.sov import exact_divisor
+    from quadric_gaudin.unipoly import RootFindingError
+
+    # (z - 1)(z - 1 - 10^-12) is squarefree: its two roots are simple, but
+    # their float images fall in one cluster
+    eps = Fraction(1, 10**12)
+    p = Polynomial([gr(-1), gr(1)]) * Polynomial([gr(-1 - eps), gr(1)])
+    with pytest.raises(RootFindingError):
+        exact_divisor(p, 3)
+    # a genuine double root keeps its multiplicity, and they sum to deg p
+    q = Polynomial([gr(-1), gr(1)]) * Polynomial([gr(-1), gr(1)]) * Polynomial([gr(-3), gr(1)])
+    finite, inf_mult = exact_divisor(q, 4)
+    assert [m for _, m in finite] == [2, 1] and inf_mult == 1
+    assert abs(finite[0][0] - 1) < 1e-12 and abs(finite[1][0] - 3) < 1e-12
