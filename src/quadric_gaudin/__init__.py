@@ -49,10 +49,6 @@ from .verystable import (
     witness_system,
 )
 from .diffops import (
-    Delta,
-    Omega,
-    PolyOperator,
-    X,
     apply_Delta,
     apply_X,
     canonical_twist,

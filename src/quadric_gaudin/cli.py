@@ -307,13 +307,14 @@ def cmd_classify(args) -> int:
     import csv as csv_mod
     import json
 
-    from .verystable import classify, nilpotent_witness
+    from .verystable import nilpotent_witness
 
     lines = []
     rows = []
 
     def classify_x(pencil, x, trial):
-        verdict = classify(list(x), pencil)
+        wr = nilpotent_witness(list(x), pencil)
+        verdict = wr.verdict
         doc = {
             "trial": trial,
             "verdict": verdict.tag,
@@ -324,7 +325,6 @@ def cmd_classify(args) -> int:
         }
         if verdict.zero_indices:
             doc["zero_indices"] = list(verdict.zero_indices)
-        wr = nilpotent_witness(list(x), pencil)
         if wr.witness is not None:
             doc["witness"] = [scalar_to_json(v) for v in wr.witness]
         doc["kernel_dim"] = wr.kernel_dim

@@ -17,8 +17,7 @@ their columns from those of X_ij once, on first use, and keeps them for
 that call only (``_Operators``).  A relation is then checked one basis
 monomial at a time as one sparse column, e.g. ``[Delta_i, Delta_j] e`` as
 ``Delta_i(Delta_j[e]) == Delta_j(Delta_i[e])``.  ``apply_X`` and
-``apply_Delta`` apply the same columns to a ``MultiPoly`` by linearity;
-``PolyOperator`` and its builders are composition sugar on top of them.
+``apply_Delta`` apply the same columns to a ``MultiPoly`` by linearity.
 
 The suites that involve the pencil clear denominators once per pencil:
 mu is scaled by the common denominator L of its entries, and Delta_i by
@@ -48,45 +47,6 @@ from fractions import Fraction
 from .multipoly import MultiPoly, reduce_mod_quadrics
 from .phase import Pencil, PhasePoint
 from .scalars import GaussianRational, ONE, gr
-
-
-class PolyOperator:
-    """Composable endomorphism of the polynomial space."""
-
-    __slots__ = ("nvars", "fn", "name")
-
-    def __init__(self, nvars: int, fn, name: str = "op"):
-        self.nvars = nvars
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, f: MultiPoly) -> MultiPoly:
-        return self.fn(f)
-
-    def __matmul__(self, other: "PolyOperator") -> "PolyOperator":
-        return PolyOperator(
-            self.nvars, lambda f: self(other(f)), f"({self.name}@{other.name})"
-        )
-
-    def __add__(self, other: "PolyOperator") -> "PolyOperator":
-        return PolyOperator(
-            self.nvars, lambda f: self(f) + other(f), f"({self.name}+{other.name})"
-        )
-
-    def __sub__(self, other: "PolyOperator") -> "PolyOperator":
-        return PolyOperator(
-            self.nvars, lambda f: self(f) - other(f), f"({self.name}-{other.name})"
-        )
-
-    def scale(self, c) -> PolyOperator:
-        return PolyOperator(self.nvars, lambda f: self(f).scale(c), f"{c}*{self.name}")
-
-    def commutator(self, other: "PolyOperator") -> "PolyOperator":
-        return PolyOperator(
-            self.nvars,
-            lambda f: self(other(f)) - other(self(f)),
-            f"[{self.name},{other.name}]",
-        )
 
 
 # -- the kernel: sparse columns on the monomial basis ------------------------
@@ -219,39 +179,11 @@ def apply_X(i: int, j: int, f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.nvars, _apply(_Operators().X(i, j), f.terms))
 
 
-def X(nvars: int, i: int, j: int) -> PolyOperator:
-    return PolyOperator(nvars, lambda f: apply_X(i, j, f), f"X{i}{j}")
-
-
-def Omega(nvars: int, i: int, j: int) -> PolyOperator:
-    return PolyOperator(
-        nvars, lambda f: apply_X(i, j, apply_X(i, j, f)), f"Om{i}{j}"
-    )
-
-
 def apply_Delta(i: int, f: MultiPoly, pencil: Pencil) -> MultiPoly:
     """sum_{j != i} X_ij(X_ij(f)) / (mu_i - mu_j), exact."""
     mu = pencil.mu
     weights = {i: {j: ONE / (mu[i] - mu[j]) for j in range(pencil.N) if j != i}}
     return MultiPoly(f.nvars, _apply(_Operators(weights).delta(i), f.terms))
-
-
-def Delta(pencil: Pencil, i: int) -> PolyOperator:
-    return PolyOperator(
-        pencil.N, lambda f: apply_Delta(i, f, pencil), f"Delta{i}"
-    )
-
-
-def euler(nvars: int) -> PolyOperator:
-    def fn(f: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(nvars)
-        for i in range(nvars):
-            e = [0] * nvars
-            e[i] = 1
-            out = out + f.diff(i).mul_monomial(tuple(e))
-        return out
-
-    return PolyOperator(nvars, fn, "E")
 
 
 def _exponents(nvars: int, dmax: int) -> list:

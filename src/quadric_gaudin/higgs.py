@@ -123,9 +123,7 @@ def reduced_tr_phi_squared(point: PhasePoint, check_samples: bool = True) -> Red
     """
     pencil = point.pencil
     f = hamiltonians(point)
-    h = Polynomial.zero()
-    for fi, L in zip(f, pencil.lagrange_numerators()):
-        h = h + L.scale(fi)
+    h = pencil.lagrange_sum(f)
     if point.exact and h.degree != float("-inf") and h.degree > pencil.n - 1:
         raise AssertionError("h exceeds its degree bound; point not constrained?")
     if check_samples:
@@ -200,33 +198,6 @@ class HeckeTriple:
         return self.b * self.b + self.a * self.c
 
 
-FLOAT_TRIM = 1e-9
-
-
-def _trim_float(p: Polynomial, weights, pencil: Pencil) -> Polynomial:
-    """Drop trailing float coefficients of p = sum_i w_i L_i that are
-    cancellation dust.
-
-    Float degrees are descriptive: coefficient k counts as zero when it is
-    at most FLOAT_TRIM times its pre-cancellation mass sum_i |w_i| |L_i,k|.
-    The mass is per coefficient, not the largest coefficient: those grow
-    like prod |mu|, and a genuine leading coefficient can be far smaller.
-    Exact polynomials pass through.
-    """
-    if p.exact or p.is_zero():
-        return p
-    ws = [abs(as_complex(w)) for w in weights]
-    Ls = pencil.lagrange_numerators()
-    cs = list(p.coeffs)
-    while cs:
-        k = len(cs) - 1
-        mass = sum(w * abs(as_complex(L.coeffs[k])) for w, L in zip(ws, Ls))
-        if abs(cs[-1]) > FLOAT_TRIM * mass:
-            break
-        cs.pop()
-    return Polynomial(cs)
-
-
 def hecke_transform(point: PhasePoint) -> HeckeTriple:
     """Closed-form (a, b, c) with 2(b^2 + ac) = p_D^2 tr Phi^2.
 
@@ -237,18 +208,10 @@ def hecke_transform(point: PhasePoint) -> HeckeTriple:
     pencil = point.pencil
     x, y = point.x, point.y
     n = pencil.n
-    a = Polynomial.zero()
-    b = Polynomial.zero()
-    c = Polynomial.zero()
-    for i, L in enumerate(pencil.lagrange_numerators()):
-        a = a + L.scale(-(y[i] * y[i]))
-        b = b + L.scale(x[i] * y[i])
-        c = c + L.scale(x[i] * x[i])
-    if not point.exact:
-        a = _trim_float(a, [v * v for v in y], pencil)
-        b = _trim_float(b, [u * v for u, v in zip(x, y)], pencil)
-        c = _trim_float(c, [u * u for u in x], pencil)
-    elif c.degree > n or b.degree > n + 1 or a.degree > n + 2:
+    a = pencil.lagrange_sum([-(v * v) for v in y])
+    b = pencil.lagrange_sum([u * v for u, v in zip(x, y)])
+    c = pencil.lagrange_sum([u * u for u in x])
+    if point.exact and (c.degree > n or b.degree > n + 1 or a.degree > n + 2):
         raise AssertionError("Hecke degree bounds violated; point not constrained?")
     return HeckeTriple(a=a, b=b, c=c)
 

@@ -36,19 +36,10 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
     def matvec(self, v):
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
         return [dot(row, v) for row in self.rows]
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return Matrix([[dot(r, c) for c in cols] for r in self.rows])
 
     def to_float(self) -> "Matrix":
         return Matrix([[as_complex(v) for v in r] for r in self.rows])

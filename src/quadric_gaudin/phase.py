@@ -34,6 +34,10 @@ from .scalars import (
 from .unipoly import Polynomial
 
 
+#: relative size below which a float coefficient of a Lagrange sum is dust
+FLOAT_TRIM = 1e-9
+
+
 class DegeneratePointError(ValueError):
     """No usable pivot pair exists for the requested solve."""
 
@@ -76,6 +80,29 @@ class Pencil:
                 for i in range(self.N)
             ]
         return self._lagrange
+
+    def lagrange_sum(self, weights) -> Polynomial:
+        """sum_i w_i L_i(z) = p_D(z) sum_i w_i / (z - mu_i).
+
+        Float degrees are descriptive: a float result drops each trailing
+        coefficient that is cancellation dust, at most FLOAT_TRIM times its
+        pre-cancellation mass sum_i |w_i| |L_i,k|.  The mass is per
+        coefficient, not the largest coefficient: those grow like prod |mu|,
+        and a genuine leading coefficient can be far smaller.
+        """
+        Ls = self.lagrange_numerators()
+        p = Polynomial([dot(weights, [L.coeffs[k] for L in Ls]) for k in range(self.N)])
+        if p.exact or p.is_zero():
+            return p
+        ws = [abs(as_complex(w)) for w in weights]
+        cs = list(p.coeffs)
+        while cs:
+            k = len(cs) - 1
+            mass = sum(w * abs(as_complex(L.coeffs[k])) for w, L in zip(ws, Ls))
+            if abs(cs[k]) > FLOAT_TRIM * mass:
+                break
+            cs.pop()
+        return Polynomial(cs)
 
     def node_weights(self):
         """d_i = prod_{j != i} (mu_i - mu_j) = L_i(mu_i)."""

@@ -38,26 +38,16 @@ from .unipoly import (
     squarefree_factorization,
 )
 
-#: cofactor_j = sign * lead(p)^(N-1) * x_j * closed_form; the closed form is
-#: stated for monic p, so the non-monic case carries lead(p)^(N-1).  The
-#: residual sign depends only on the ordering of the roots.
-MINOR_LEAD_EXPONENT_OFFSET = 1  # exponent is N - 1
-
-
 class RootAtMarkedPointError(ValueError):
     """A separation root collides with a marked point: apply dimension reduction."""
 
 
 def auxiliary_poly(x, pencil: Pencil) -> Polynomial:
     """p(z) = sum_i x_i^2 prod_{j != i} (z - mu_j); degree <= n at constrained x."""
-    p = Polynomial.zero()
-    for xi, L in zip(x, pencil.lagrange_numerators()):
-        p = p + L.scale(xi * xi)
+    p = pencil.lagrange_sum([xi * xi for xi in x])
     if p.exact and p.degree > pencil.n:
         raise ValueError("auxiliary polynomial exceeds degree n: x unconstrained")
-    from .higgs import _trim_float
-
-    return _trim_float(p, [xi * xi for xi in x], pencil)
+    return p
 
 
 def point_from_polynomial(target: Polynomial, pencil: Pencil, mode: str = "exact"):
@@ -136,19 +126,21 @@ def _check_off_marked(a, mu) -> None:
             )
 
 
-def exact_divisor(p: Polynomial, n: int, tol: float = DEFAULT_ROOT_TOL):
+def exact_divisor(p: Polynomial, n: int, tol: float = DEFAULT_ROOT_TOL, factors=None):
     """Finite roots (float positions, exact multiplicities) and inf multiplicity.
 
-    Multiplicities come from the exact squarefree factorization; the float
-    roots of each factor only locate them.  Raises RootFindingError when
-    they cannot tell the roots of a squarefree factor apart, so the
-    multiplicities always sum to deg p.
+    Multiplicities come from the exact squarefree factorization (``factors``
+    when the caller already has it); the float roots of each factor only
+    locate them.  Raises RootFindingError when they cannot tell the roots of
+    a squarefree factor apart, so the multiplicities always sum to deg p.
     """
     if p.is_zero():
         raise ValueError("zero auxiliary polynomial")
+    if factors is None:
+        factors = squarefree_factorization(p)
     finite = [
         (r, k)
-        for factor, k in squarefree_factorization(p)
+        for factor, k in factors
         for r, _ in clustered_roots(factor.to_float(), tol)
     ]
     # a squarefree factor has simple roots: a float cluster of several merges

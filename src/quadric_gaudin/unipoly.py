@@ -42,10 +42,6 @@ class Polynomial:
         return Polynomial([])
 
     @staticmethod
-    def constant(c) -> "Polynomial":
-        return Polynomial([c])
-
-    @staticmethod
     def identity_shift(c) -> "Polynomial":
         """The polynomial z - c over the scalar domain of c."""
         return Polynomial([-c, one_like(c)])
@@ -126,12 +122,6 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         return Polynomial([c * a for a in self.coeffs])
-
-    def shift_up(self, k: int) -> "Polynomial":
-        """Multiply by z^k."""
-        if self.is_zero():
-            return self
-        return Polynomial([zero_like(self.lead())] * k + list(self.coeffs))
 
     def derivative(self) -> "Polynomial":
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -302,13 +292,6 @@ def resultant(p: Polynomial, q: Polynomial):
     return complex(np.linalg.det(np.array(rows, dtype=complex)))
 
 
-def discriminant_vanishes(p: Polynomial) -> bool:
-    """Exact repeated-root test for an exact polynomial of degree >= 1."""
-    if p.degree <= 1:
-        return False
-    return not resultant(p, p.derivative())
-
-
 # -- root finding (float) ------------------------------------------------------
 
 DEFAULT_ROOT_TOL = 1e-8
@@ -336,7 +319,6 @@ def _aberth(coeffs: list[complex], tol: float, max_iter: int = 400) -> list[comp
     ]
     p = Polynomial(coeffs)
     dp = p.derivative()
-    scale = max(abs(c) for c in coeffs)
     for _ in range(max_iter):
         moved = 0.0
         for k in range(n):
@@ -354,7 +336,7 @@ def _aberth(coeffs: list[complex], tol: float, max_iter: int = 400) -> list[comp
         if moved < 1e-15:
             break
     else:
-        if any(abs(p(z)) > tol * scale * 10 for z in zs):
+        if any(abs(p(z)) > tol * p.mass(z) for z in zs):
             raise RootFindingError(
                 f"root iteration did not converge within {max_iter} steps", zs
             )
@@ -379,8 +361,10 @@ def roots(
 ) -> list[complex]:
     """All deg(p) roots with multiplicity, clustered by tol.
 
-    Residuals satisfy |p(root)| <= tol * max|coeff| for well-conditioned
-    inputs; failure to converge raises RootFindingError with the best iterate.
+    An iteration that runs out of steps keeps its roots when each residual
+    |p(root)| is at most tol * p.mass(root), the Horner mass that bounds the
+    rounding error of evaluating p there, and otherwise raises
+    RootFindingError with the best iterate.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined roots")

@@ -5,6 +5,10 @@ distinct roots on all of P^1, infinity included with multiplicity
 n - deg p.  All multiplicity decisions here are exact: repeated finite
 roots come from resultants and squarefree factorization, never from float
 clustering (wobbliness is a measure-zero condition floats cannot certify).
+:func:`classify` computes p, its squarefree factorization and the divisor
+once per point; the :class:`StabilityVerdict` carries them, and the witness
+construction and the degenerate recursion read the verdict instead of
+classifying again.
 
 Witness construction is root-free.  Writing b_y(z) = sum_i y_i x_i
 prod_{j != i} (z - mu_j), a covector y annihilates every separated
@@ -48,31 +52,45 @@ DEGENERATE = "degenerate"
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Classification outcome with the full root divisor and reduction chain."""
+    """Classification of x over a pencil, with the divisor data it rests on.
 
-    tag: str
+    ``p`` is the auxiliary polynomial and ``factors`` its squarefree
+    factorization ((a_k, k), ...); ``finite_roots`` and
+    ``infinity_multiplicity`` are the divisor of p on P^1.  A Degenerate
+    verdict also carries the verdict of x on the reduced pencil.
+    """
+
+    x: tuple
+    pencil: Pencil
+    p: Polynomial
+    factors: tuple
     finite_roots: tuple  # ((float root, exact multiplicity), ...)
     infinity_multiplicity: int
     zero_indices: tuple = ()
-    reduced_mu: tuple = ()
-    reduced_x: tuple = ()
     reduced: Optional["StabilityVerdict"] = None
+
+    def points(self) -> list:
+        """The divisor as n points of P^1, with "inf" for infinity."""
+        out = [r for r, m in self.finite_roots for _ in range(m)]
+        return out + ["inf"] * self.infinity_multiplicity
+
+    @property
+    def distinct(self) -> bool:
+        """The full divisor of p, infinity included, has distinct points."""
+        return all(m == 1 for _, m in self.finite_roots) and self.infinity_multiplicity <= 1
 
     @property
     def resolved_tag(self) -> str:
-        """The verdict with Degenerate chains resolved to their endpoint."""
-        if self.tag != DEGENERATE:
-            return self.tag
-        return self._full_divisor_tag()
-
-    def _full_divisor_tag(self) -> str:
-        if any(m > 1 for _, m in self.finite_roots) or self.infinity_multiplicity > 1:
-            return WOBBLY
-        return VERY_STABLE
+        """The verdict with Degenerate chains resolved by the full divisor."""
+        return VERY_STABLE if self.distinct else WOBBLY
 
     @property
-    def is_very_stable(self) -> bool:
-        return self.resolved_tag == VERY_STABLE
+    def tag(self) -> str:
+        return DEGENERATE if self.zero_indices else self.resolved_tag
+
+    @property
+    def reduced_mu(self) -> tuple:
+        return self.reduced.pencil.mu if self.reduced else ()
 
     def chain(self) -> list[str]:
         out = [self.tag]
@@ -96,60 +114,36 @@ def classify(x, pencil: Pencil) -> StabilityVerdict:
     if not any(x):
         raise ValueError("x must be nonzero")
     p = auxiliary_poly(x, pencil)
-    finite, inf_mult = exact_divisor(p, pencil.n)
+    factors = tuple(squarefree_factorization(p))
+    finite, inf_mult = exact_divisor(p, pencil.n, factors=factors)
     zeros = tuple(i for i, v in enumerate(x) if not v)
+    reduced = None
     if zeros:
         keep = [i for i in range(pencil.N) if i not in zeros]
-        red_mu = tuple(pencil.mu[i] for i in keep)
-        red_x = tuple(x[i] for i in keep)
-        red_pencil = Pencil(red_mu, allow_small=True)
-        reduced = classify(list(red_x), red_pencil)
-        return StabilityVerdict(
-            tag=DEGENERATE,
-            finite_roots=finite,
-            infinity_multiplicity=inf_mult,
-            zero_indices=zeros,
-            reduced_mu=red_mu,
-            reduced_x=red_x,
-            reduced=reduced,
-        )
-    # resultant cross-check: repeated finite root iff res(p, p') = 0
-    if p.degree >= 1:
+        red_pencil = Pencil([pencil.mu[i] for i in keep], allow_small=True)
+        reduced = classify([x[i] for i in keep], red_pencil)
+    elif p.degree >= 1:
+        # resultant cross-check: repeated finite root iff res(p, p') = 0
         rep_by_res = not resultant(p, p.derivative())
-        rep_by_sqf = any(m > 1 for _, m in finite)
-        if rep_by_res != rep_by_sqf:
+        if rep_by_res != any(m > 1 for _, m in finite):
             raise AssertionError("resultant and squarefree factorization disagree")
-    wobbly = any(m > 1 for _, m in finite) or inf_mult > 1
     return StabilityVerdict(
-        tag=WOBBLY if wobbly else VERY_STABLE,
+        x=tuple(x),
+        pencil=pencil,
+        p=p,
+        factors=factors,
         finite_roots=finite,
         infinity_multiplicity=inf_mult,
+        zero_indices=zeros,
+        reduced=reduced,
     )
 
 
-@dataclass(frozen=True)
-class DivisorImage:
-    """Image of x in the n-fold symmetric product of P^1."""
-
-    finite: tuple  # ((root, multiplicity), ...)
-    infinity_multiplicity: int
-
-    def points(self):
-        out = []
-        for r, m in self.finite:
-            out.extend([r] * m)
-        out.extend(["inf"] * self.infinity_multiplicity)
-        return out
-
-    @property
-    def distinct(self) -> bool:
-        return all(m == 1 for _, m in self.finite) and self.infinity_multiplicity <= 1
-
-
-def symmetric_product_image(x, pencil: Pencil) -> DivisorImage:
-    """The divisor of p, infinity included; distinct iff x is very stable."""
-    finite, inf_mult = exact_divisor(auxiliary_poly(x, pencil), pencil.n)
-    return DivisorImage(finite=finite, infinity_multiplicity=inf_mult)
+def symmetric_product_image(x, pencil: Pencil) -> StabilityVerdict:
+    """The image of x in the n-fold symmetric product of P^1: the divisor of
+    p, infinity included, read through ``points()``; distinct iff x is very
+    stable."""
+    return classify(x, pencil)
 
 
 # -- the exact witness system -------------------------------------------------
@@ -165,18 +159,17 @@ def witness_system(x, pencil: Pencil) -> Matrix:
     """
     if not all(x):
         raise ValueError("witness system needs all x_i != 0; reduce first")
-    return Matrix(_witness_rows(x, pencil, strip_marked=False))
+    return Matrix(_witness_rows(classify(x, pencil), strip_marked=False))
 
 
-def _witness_rows(x, pencil: Pencil, strip_marked: bool) -> list[list]:
+def _witness_rows(verdict: StabilityVerdict, strip_marked: bool) -> list[list]:
     """Rows of the witness system; strip_marked drops the roots of p at marked
     points, the relaxed system of the marked-double-root search."""
-    n = pencil.n
-    p = auxiliary_poly(x, pencil)
+    x, pencil = verdict.x, verdict.pencil
     cols = [L.scale(xi) for xi, L in zip(x, pencil.lagrange_numerators())]
     rows = [list(x), [m * v for m, v in zip(pencil.mu, x)]]
     s = Polynomial([ONE])
-    for factor, k in squarefree_factorization(p):
+    for factor, k in verdict.factors:
         if strip_marked:
             for m in pencil.mu:
                 lin = Polynomial.identity_shift(m)
@@ -187,8 +180,8 @@ def _witness_rows(x, pencil: Pencil, strip_marked: bool) -> list[list]:
     if s.degree >= 1:
         rems = [c % s for c in cols]
         rows.extend([r.coeff(d) for r in rems] for d in range(s.degree))
-    inf_mult = n - p.degree
-    rows.extend([c.coeff(n - t) for c in cols] for t in range((inf_mult + 1) // 2))
+    top = (verdict.infinity_multiplicity + 1) // 2
+    rows.extend([c.coeff(pencil.n - t) for c in cols] for t in range(top))
     return rows
 
 
@@ -204,6 +197,7 @@ class WitnessResult:
     witness: Optional[tuple]
     kernel_dim: int
     kernel_is_gauge_line: bool
+    verdict: StabilityVerdict
 
 
 def nilpotent_witness(x, pencil: Pencil) -> WitnessResult:
@@ -212,30 +206,32 @@ def nilpotent_witness(x, pencil: Pencil) -> WitnessResult:
     Wobbly x: returns y with both exact certificates (all Hamiltonians zero
     and b^2 + ac identically zero) verified before returning, y not in
     span(x).  Very stable x: returns no witness and certifies that the
-    witness-system kernel is exactly the gauge line span(x).
+    witness-system kernel is exactly the gauge line span(x).  The result
+    carries the verdict of x that it was built from.
     """
-    verdict = classify(x, pencil)
+    return _witness(classify(x, pencil))
+
+
+def _witness(verdict: StabilityVerdict) -> WitnessResult:
     if verdict.tag == DEGENERATE:
-        return _witness_degenerate(x, pencil, verdict)
-    kernel_dim, basis = _witness_kernel(x, pencil)
+        return _witness_degenerate(verdict)
+    x, pencil = verdict.x, verdict.pencil
+    _, basis = rank_kernel(Matrix(_witness_rows(verdict, strip_marked=False)))
+    if not basis:
+        raise AssertionError("witness system lost the gauge direction")
     if verdict.tag == VERY_STABLE:
-        if kernel_dim != 1 or not is_gauge_trivial(x, basis[0]):
+        if len(basis) != 1 or not is_gauge_trivial(x, basis[0]):
             raise AssertionError("very stable point with kernel exceeding span(x)")
-        return WitnessResult(witness=None, kernel_dim=1, kernel_is_gauge_line=True)
+        return WitnessResult(
+            witness=None, kernel_dim=1, kernel_is_gauge_line=True, verdict=verdict
+        )
     for y in _witness_candidates(x, basis):
         if _verified_nilpotent(x, y, pencil):
             return WitnessResult(
-                witness=tuple(y), kernel_dim=kernel_dim, kernel_is_gauge_line=False
+                witness=tuple(y), kernel_dim=len(basis), kernel_is_gauge_line=False,
+                verdict=verdict,
             )
     raise AssertionError("wobbly point but no kernel vector verified nilpotent")
-
-
-def _witness_kernel(x, pencil: Pencil):
-    m = witness_system(x, pencil)
-    rank, basis = rank_kernel(m)
-    if not basis:
-        raise AssertionError("witness system lost the gauge direction")
-    return len(basis), basis
 
 
 def _witness_candidates(x, basis):
@@ -260,32 +256,36 @@ def _verified_nilpotent(x, y, pencil: Pencil) -> bool:
     return is_nilpotent(hecke_transform(point))
 
 
-def _witness_degenerate(x, pencil: Pencil, verdict: StabilityVerdict) -> WitnessResult:
-    red_pencil = Pencil(verdict.reduced_mu, allow_small=True)
-    red = nilpotent_witness(list(verdict.reduced_x), red_pencil)
+def _witness_degenerate(verdict: StabilityVerdict) -> WitnessResult:
+    x, pencil = verdict.x, verdict.pencil
+    red = _witness(verdict.reduced)
     if red.witness is not None:
         y = _zero_pad(red.witness, verdict.zero_indices, pencil.N)
         if not _verified_nilpotent(x, y, pencil):
             raise AssertionError("zero-padded witness failed re-verification")
         return WitnessResult(
-            witness=tuple(y), kernel_dim=red.kernel_dim, kernel_is_gauge_line=False
+            witness=tuple(y), kernel_dim=red.kernel_dim, kernel_is_gauge_line=False,
+            verdict=verdict,
         )
     if verdict.resolved_tag == VERY_STABLE:
         return WitnessResult(
             witness=None,
             kernel_dim=red.kernel_dim,
             kernel_is_gauge_line=red.kernel_is_gauge_line,
+            verdict=verdict,
         )
     # repeated root at a deleted marked point: the reduced problem looks very
     # stable but the full divisor is not.  Search small exact combinations
     # over the relaxed kernel (conditions only at roots off the marked set).
-    y = _marked_multiple_root_witness(x, pencil)
+    y = _marked_multiple_root_witness(verdict)
     if y is None:
         raise WitnessSearchError(
             "wobbly via a repeated root at a deleted marked point; no witness "
             "with Gaussian-rational coordinates found in the search range"
         )
-    return WitnessResult(witness=tuple(y), kernel_dim=-1, kernel_is_gauge_line=False)
+    return WitnessResult(
+        witness=tuple(y), kernel_dim=-1, kernel_is_gauge_line=False, verdict=verdict
+    )
 
 
 def _zero_pad(y_red, zero_indices, N: int):
@@ -296,9 +296,10 @@ def _zero_pad(y_red, zero_indices, N: int):
     return out
 
 
-def _marked_multiple_root_witness(x, pencil: Pencil, bound: int = 2):
+def _marked_multiple_root_witness(verdict: StabilityVerdict, bound: int = 2):
     """Last-resort exact search for the marked-double-root corner case."""
-    _, basis = rank_kernel(Matrix(_witness_rows(x, pencil, strip_marked=True)))
+    x, pencil = verdict.x, verdict.pencil
+    _, basis = rank_kernel(Matrix(_witness_rows(verdict, strip_marked=True)))
     if len(basis) < 2:
         return None
     coeff_pool = [gr(a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)]

@@ -177,9 +177,20 @@ def test_orthomodel_verify_subcommand(capsys, tmp_path):
     assert "worst_residual" in doc and doc["worst_residual"] < 1e-9
 
 
-def test_classify_fix_b_degenerate_chain_via_cli(tmp_path, capsys, pencil01234, fix_b):
+def test_classify_fix_b_degenerate_chain_via_cli(tmp_path, capsys, monkeypatch, pencil01234, fix_b):
+    import quadric_gaudin.verystable as verystable
     from quadric_gaudin.phase import PhasePoint
 
+    # one classification per level of the reduction chain: the witness
+    # reads the verdicts instead of classifying again
+    calls = []
+    classify = verystable.classify
+
+    def counted(x, pencil):
+        calls.append(len(x))
+        return classify(x, pencil)
+
+    monkeypatch.setattr(verystable, "classify", counted)
     pt = PhasePoint(pencil01234, fix_b, [gr(0)] * 5)
     path = tmp_path / "b.json"
     path.write_text(json.dumps(point_to_json(pt)))
@@ -189,6 +200,7 @@ def test_classify_fix_b_degenerate_chain_via_cli(tmp_path, capsys, pencil01234, 
     assert got["verdict"] == "degenerate"
     assert got["reduced_chain"] == ["degenerate", "very_stable"]
     assert got["zero_indices"] == [4]
+    assert calls == [5, 4]
 
 
 def test_structured_serializers(fix_c):
@@ -302,3 +314,14 @@ def test_float_fallback_draw_is_reported(capsys, monkeypatch):
     monkeypatch.undo()
     code, _, err = run(capsys, "sample", "--mode", "float", "--n", "6", "--trials", "1", "--seed", "3")
     assert code == EXIT_OK and err == ""
+
+
+@pytest.mark.parametrize("n, seed", [(12, 7), (14, 13), (14, 15)])
+def test_classify_accepts_accurate_roots_of_large_factors(capsys, n, seed):
+    # squarefree factors with large roots (one near 141 at N = 12, seed 7):
+    # accurate roots leave residuals at the rounding level of Horner's rule,
+    # far above tol * max|c_k|, and the root finder used to reject them
+    code, out, err = run(capsys, "classify", "--n", str(n), "--trials", "1", "--seed", str(seed))
+    assert code == EXIT_OK, err
+    (line,) = out.strip().splitlines()
+    assert json.loads(line)["verdict"] in ("very_stable", "wobbly", "degenerate")
