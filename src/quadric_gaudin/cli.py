@@ -9,10 +9,34 @@ stderr).  Trials run one after another, in trial order.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
+import json
+import random
 import sys
 from fractions import Fraction
 
+from .diffops import (
+    verify_commutation,
+    verify_delta_q1,
+    verify_descent_suite,
+    verify_kohno_drinfeld,
+    verify_symbol_pairing,
+)
+from .higgs import (
+    build_phi,
+    hamiltonians,
+    hecke_transform,
+    off_pole_samples,
+    reduced_tr_phi_squared,
+)
+from .orthomodel import (
+    build_A,
+    rank_and_kernel_of_A,
+    skew_adjoint_defect,
+    trivial_subbundle_probe,
+    verify_equivalence,
+)
 from .scalars import as_complex, gr, negligible, total
 from .phase import (
     Pencil,
@@ -26,7 +50,7 @@ from .phase import (
 )
 from .serialize import dumps, point_from_json, point_to_json, scalar_to_json
 from .unipoly import RootFindingError
-from .verystable import WitnessSearchError
+from .verystable import WitnessSearchError, nilpotent_witness
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -43,50 +67,70 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than low."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _marked_points(text: str) -> list:
+    """argparse type: comma-separated rationals, as exact scalars."""
+    try:
+        return [gr(Fraction(tok)) for tok in text.split(",")]
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # option groups shared by the subcommands, each given only what it reads
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--n", type=_at_least(5), default=None,
+                      help="number of marked points N (>= 5); default 5, or the length of --mu")
+    base.add_argument("--mu", type=_marked_points, default=None,
+                      help="comma-separated rational marked points; omit for seeded random pencils")
+    base.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
+    draws = argparse.ArgumentParser(add_help=False)
+    draws.add_argument("--seed", type=int, default=0)
+    draws.add_argument("--trials", type=_at_least(1), default=3)
+    floats = argparse.ArgumentParser(add_help=False)
+    floats.add_argument("--mode", choices=("exact", "float"), default="exact")
+    floats.add_argument("--tol", type=float, default=1e-9)
+    dmax = argparse.ArgumentParser(add_help=False)
+    dmax.add_argument("--dmax", type=_at_least(0), default=None,
+                      help="monomial degree of the operator suites (default: each suite's bound)")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--point", type=str, default=None, help="JSON file with a phase point document")
+
     p = _Parser(prog="qgaudin", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--n", type=int, default=5, help="number of marked points N (>= 5)")
-        sp.add_argument("--mu", type=str, default=None,
-                        help="comma-separated rational marked points; omit for seeded random pencils")
-        sp.add_argument("--mode", choices=("exact", "float"), default="exact")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=3)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
-
-    ps = sub.add_parser("sample", help="emit seeded constrained phase points")
-    common(ps)
-
-    pv = sub.add_parser("verify", help="run the cross-module verification suites")
-    common(pv)
-    pv.add_argument("--dmax", type=int, default=None, help="monomial degree cap for the operator suite")
+    sub.add_parser("sample", parents=[base, draws, floats],
+                   help="emit seeded constrained phase points")
+    pv = sub.add_parser("verify", parents=[base, draws, floats, dmax],
+                        help="run the cross-module verification suites")
     pv.add_argument("--skip-operators", action="store_true")
     pv.add_argument("--inject-fault", choices=("delta-sign",), default=None,
                     help="deliberately corrupt one relation (harness self-test)")
-
-    pc = sub.add_parser("classify", help="very-stable / wobbly classification")
-    common(pc)
-    pc.add_argument("--point", type=str, default=None, help="JSON file with a phase point document")
+    pc = sub.add_parser("classify", parents=[base, draws, point],
+                        help="very-stable / wobbly classification")
     pc.add_argument("--csv", type=str, default=None, help="also write a CSV sweep of the verdicts")
-
-    pd = sub.add_parser("diffops-verify", help="operator relation suites only")
-    common(pd)
-    pd.add_argument("--dmax", type=int, default=None)
-
-    po = sub.add_parser("orthomodel-verify", help="pencil-model identity suite only")
-    common(po)
-    po.add_argument("--point", type=str, default=None, help="JSON file with a phase point document")
+    sub.add_parser("diffops-verify", parents=[base, dmax], help="operator relation suites only")
+    sub.add_parser("orthomodel-verify", parents=[base, draws, floats, point],
+                   help="pencil-model identity suite only")
     return p
 
 
-def _parse_mu(text: str, mode: str):
-    vals = [Fraction(tok) for tok in text.split(",")]
-    if mode == "exact":
-        return [gr(v) for v in vals]
-    return [complex(v) for v in vals]
+_PARSER = build_parser()
+
+
+def _load_point(path: str) -> PhasePoint:
+    with open(path) as fh:
+        return point_from_json(json.load(fh))
 
 
 def _emit(lines, out_path):
@@ -101,8 +145,7 @@ def _emit(lines, out_path):
 def _trial_point(args, trial: int) -> PhasePoint:
     seed = args.seed + trial
     if args.mu is not None:
-        mu = _parse_mu(args.mu, args.mode)
-        pencil = Pencil(mu)
+        pencil = Pencil(args.mu if args.mode == "exact" else [as_complex(m) for m in args.mu])
         x = sample_point_x(pencil, seed, mode=args.mode)
         y = sample_point_y(pencil, x, seed ^ 0x5BD1E995, mode=args.mode)
         return PhasePoint(pencil, x, y, tol=args.tol)
@@ -111,9 +154,7 @@ def _trial_point(args, trial: int) -> PhasePoint:
     # float mode solves the x-constraints directly, so any well-separated
     # pencil works; draw distinct small integers and guard against
     # ill-conditioned pivot solves (blown-up y entries)
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     span = max(args.n + 2, 12)
     attempts = 64
     for attempt in range(attempts):
@@ -130,10 +171,6 @@ def _trial_point(args, trial: int) -> PhasePoint:
 
 
 def cmd_sample(args) -> int:
-    if args.n < 5:
-        raise _UsageError("N must be at least 5")
-    if args.trials < 1:
-        raise _UsageError("trials must be positive")
     lines = []
     for trial in range(args.trials):
         pt = _trial_point(args, trial)
@@ -147,35 +184,19 @@ def cmd_sample(args) -> int:
 
 def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
     """Per-point relation checks; returns (name, ok, detail) triples."""
-    from .higgs import (
-        hamiltonians,
-        hecke_transform,
-        off_pole_samples,
-        reduced_tr_phi_squared,
-        build_phi,
-    )
-    from .orthomodel import (
-        rank_and_kernel_of_A,
-        skew_adjoint_defect,
-        trivial_subbundle_probe,
-        verify_equivalence,
-    )
-
     results = []
     N = pt.pencil.N
     exact = pt.exact
 
-    brackets_ok = True
     for i, j in itertools.combinations(range(N), 2):
         b = poisson_bracket(pt, i, j)
         if fault == "delta-sign":
             b = b + 1
         scale = 1.0 if exact else max(1.0, bracket_mass(pt, i, j))
         if not negligible(b, tol, scale):
-            brackets_ok = False
             results.append(("poisson-bracket", False, f"{{f_{i + 1}, f_{j + 1}}} != 0"))
             break
-    if brackets_ok:
+    else:
         results.append(("poisson-bracket", True, ""))
 
     f = hamiltonians(pt)
@@ -244,8 +265,6 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
 
 
 def cmd_verify(args) -> int:
-    if args.n < 5:
-        raise _UsageError("N must be at least 5")
     lines = []
     failures = []
     for trial in range(args.trials):
@@ -272,17 +291,9 @@ def cmd_verify(args) -> int:
 
 def _operator_reports(args, symbol: bool) -> list:
     """The operator suites on the --mu pencil (default mu = 0..N-1) up to --dmax;
-    symbol adds the symbol-pairing suite.  dmax None keeps each suite's default."""
-    from .diffops import (
-        verify_commutation,
-        verify_delta_q1,
-        verify_descent_suite,
-        verify_kohno_drinfeld,
-        verify_symbol_pairing,
-    )
-
-    mu = _parse_mu(args.mu, "exact") if args.mu is not None else [gr(k) for k in range(args.n)]
-    pencil = Pencil(mu)
+    symbol adds the symbol-pairing suite.  dmax None runs each suite at the
+    degree where it is complete."""
+    pencil = Pencil(args.mu if args.mu is not None else [gr(k) for k in range(args.n)])
     reports = verify_kohno_drinfeld(args.n, args.dmax)
     reports.append(verify_commutation(args.n, pencil, args.dmax))
     reports.append(verify_descent_suite(args.n, pencil, args.dmax))
@@ -298,17 +309,13 @@ def _report_line(rep) -> str:
             "check": rep.name,
             "pass": rep.passed,
             "cases": rep.cases_checked,
+            "complete": rep.complete,
             "detail": rep.first_counterexample or "",
         }
     )
 
 
 def cmd_classify(args) -> int:
-    import csv as csv_mod
-    import json
-
-    from .verystable import nilpotent_witness
-
     lines = []
     rows = []
 
@@ -340,8 +347,7 @@ def cmd_classify(args) -> int:
         return dumps(doc)
 
     if args.point is not None:
-        with open(args.point) as fh:
-            pt = point_from_json(json.load(fh))
+        pt = _load_point(args.point)
         if not pt.exact:
             raise _UsageError("classification requires an exact point document")
         lines.append(classify_x(pt.pencil, pt.x, 0))
@@ -349,7 +355,7 @@ def cmd_classify(args) -> int:
         for trial in range(args.trials):
             seed = args.seed + trial
             if args.mu is not None:
-                pencil = Pencil(_parse_mu(args.mu, "exact"))
+                pencil = Pencil(args.mu)
                 x = sample_point_x(pencil, seed, mode="exact")
             else:
                 pencil, x = sample_pencil_point(args.n, seed)
@@ -357,7 +363,7 @@ def cmd_classify(args) -> int:
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv_mod.DictWriter(
+            writer = csv.DictWriter(
                 fh, fieldnames=["trial", "verdict", "n_distinct_roots", "witness"]
             )
             writer.writeheader()
@@ -376,25 +382,13 @@ def cmd_diffops_verify(args) -> int:
 
 
 def cmd_orthomodel_verify(args) -> int:
-    import json
-
-    from .higgs import off_pole_samples
-    from .orthomodel import (
-        build_A,
-        rank_and_kernel_of_A,
-        skew_adjoint_defect,
-        trivial_subbundle_probe,
-        verify_equivalence,
-    )
-
+    if args.point is not None:
+        points = [_load_point(args.point)]
+    else:
+        points = (_trial_point(args, trial) for trial in range(args.trials))
     lines = []
     failures = 0
-    for trial in range(args.trials):
-        if args.point is not None:
-            with open(args.point) as fh:
-                pt = point_from_json(json.load(fh))
-        else:
-            pt = _trial_point(args, trial)
+    for trial, pt in enumerate(points):
         zs = off_pole_samples(pt.pencil, 3)
         worst = 0.0
         skew_ok = ax_ok = rank_ok = True
@@ -422,32 +416,23 @@ def cmd_orthomodel_verify(args) -> int:
         if not all(v for k, v in doc.items() if isinstance(v, bool)):
             failures += 1
         lines.append(dumps(doc))
-        if args.point is not None:
-            break
     lines.append(dumps({"summary": "ok" if failures == 0 else "failed"}))
     _emit(lines, args.out)
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "sample":
-            return cmd_sample(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "diffops-verify":
-            return cmd_diffops_verify(args)
-        if args.command == "orthomodel-verify":
-            return cmd_orthomodel_verify(args)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as e:
-        sys.stderr.write(f"usage error: {e}\n")
-        return EXIT_USAGE
-    except (ValueError, OSError) as e:
+        args = _PARSER.parse_args(argv)
+        if args.mu is not None:
+            if args.n not in (None, len(args.mu)):
+                raise _UsageError(f"--n {args.n} disagrees with the {len(args.mu)} entries of --mu")
+            args.n = len(args.mu)
+        elif args.n is None:
+            args.n = 5
+        # looked up at call time, so a replaced cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except (_UsageError, ValueError, OSError) as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
     except (WitnessSearchError, RootFindingError, AssertionError) as e:

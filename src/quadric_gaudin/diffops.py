@@ -35,6 +35,20 @@ Useful exact identities (all checked by the test suite):
     Delta_i (f q1)   = Delta_i(f) q1 - (4d + 2N) x_i^2 f   (mod q, f homog. of degree d)
 
 and the twist at which the descent remainder cancels is k = -(N-4)/2.
+
+Degree bounds.  The Weyl algebra acts faithfully on polynomials: applied
+to the x^b in order of |b|, an operator sum_b c_b(x) d^b of order <= k
+recovers each c_b in turn, so it is zero iff it kills every monomial of
+degree <= k (S. C. Coutinho, A Primer of Algebraic D-modules, 1995).
+The commutator of two order-2 operators has order <= 3, so degree
+COMMUTATOR_DEGREE = 3 proves the Kohno-Drinfeld relations and
+[Delta_i, Delta_j] = 0.  [Delta_i, q], the descent map
+f -> Delta_i(f q1) - Delta_i(f) q1 + x_i^2 (4E + 2N) f and the symbol
+pairing have order <= 1, and an order-1 operator a_0 + sum_k a_k d_k maps
+into (q) iff it maps 1 and each x_k there (their images are a_0 and
+a_0 x_k + a_k): FIRST_ORDER_DEGREE = 1 proves them.  Both bounds hold for
+every N.  A suite run below its bound is a partial check, and its
+report says so (``RelationReport.complete``).
 """
 
 from __future__ import annotations
@@ -47,6 +61,9 @@ from fractions import Fraction
 from .multipoly import MultiPoly, reduce_mod_quadrics
 from .phase import Pencil, PhasePoint
 from .scalars import GaussianRational, ONE, gr
+
+COMMUTATOR_DEGREE = 3
+FIRST_ORDER_DEGREE = 1
 
 
 # -- the kernel: sparse columns on the monomial basis ------------------------
@@ -215,6 +232,8 @@ class RelationReport:
     name: str
     cases_checked: int = 0
     failures: list = field(default_factory=list)
+    #: the basis reached the relation's degree bound, so passing is a proof
+    complete: bool = False
 
     @property
     def passed(self) -> bool:
@@ -236,22 +255,17 @@ def _commutes(a, b, e: tuple) -> bool:
     return _apply(a, b[e]) == _apply(b, a[e])
 
 
-def default_dmax(N: int) -> int:
-    """Exhaustive bases stay tractable: degree 3 through N = 6, 2 through N = 8."""
-    return 3 if N <= 6 else 2
-
-
 def verify_kohno_drinfeld(N: int, dmax: int | None = None) -> list[RelationReport]:
     """[Omega_ij, Omega_kl] = 0 (disjoint), [Omega_ij, Omega_ik + Omega_jk] = 0,
     the Casimir variant, and the frozen so(3) bracket [X_ij, X_ik] = -X_jk."""
     if N < 4:
         raise ValueError("the four-distinct-index relation needs N >= 4")
-    if dmax is None:
-        dmax = default_dmax(N)
+    dmax = COMMUTATOR_DEGREE if dmax is None else dmax
+    complete = dmax >= COMMUTATOR_DEGREE
     basis = _exponents(N, dmax)
     ops = _Operators()
 
-    disjoint = RelationReport("[Om_ij, Om_kl] = 0 for disjoint pairs")
+    disjoint = RelationReport("[Om_ij, Om_kl] = 0 for disjoint pairs", complete=complete)
     for (i, j), (k, l) in itertools.combinations(
         itertools.combinations(range(N), 2), 2
     ):
@@ -261,8 +275,8 @@ def verify_kohno_drinfeld(N: int, dmax: int | None = None) -> list[RelationRepor
         for e in basis:
             disjoint.check(_commutes(a, b, e), lambda: f"[Om{i}{j},Om{k}{l}] on {_show(e)}")
 
-    shared = RelationReport("[Om_ij, Om_ik + Om_jk] = 0")
-    casimir = RelationReport("[Om_ij, Om_ij + Om_ik + Om_jk] = 0")
+    shared = RelationReport("[Om_ij, Om_ik + Om_jk] = 0", complete=complete)
+    casimir = RelationReport("[Om_ij, Om_ij + Om_ik + Om_jk] = 0", complete=complete)
     for i, j, k in itertools.combinations(range(N), 3):
         oij = ops.omega(i, j)
         pair = _sum(ops.omega(i, k), ops.omega(j, k))
@@ -273,7 +287,7 @@ def verify_kohno_drinfeld(N: int, dmax: int | None = None) -> list[RelationRepor
             )
             casimir.check(_commutes(oij, total, e), lambda: f"Casimir ({i},{j},{k}) on {_show(e)}")
 
-    so3 = RelationReport("[X_ij, X_ik] = -X_jk")
+    so3 = RelationReport("[X_ij, X_ik] = -X_jk", complete=complete)
     for i, j, k in itertools.combinations(range(N), 3):
         xij, xik, xjk = ops.X(i, j), ops.X(i, k), ops.X(j, k)
         for e in basis:
@@ -285,16 +299,15 @@ def verify_kohno_drinfeld(N: int, dmax: int | None = None) -> list[RelationRepor
 def verify_commutation(
     N: int, pencil: Pencil, dmax: int | None = None
 ) -> RelationReport:
-    """[Delta_i, Delta_j] = 0 on every monomial of degree <= dmax.
+    """[Delta_i, Delta_j] = 0 on every monomial of degree <= dmax (COMMUTATOR_DEGREE if None).
 
     This is an identity on all polynomials, not only modulo the quadrics.
     The Delta_i are scaled to clear denominators (see the module docstring).
     """
     if pencil.N != N:
         raise ValueError("pencil size mismatch")
-    if dmax is None:
-        dmax = default_dmax(N)
-    report = RelationReport("[Delta_i, Delta_j] = 0")
+    dmax = COMMUTATOR_DEGREE if dmax is None else dmax
+    report = RelationReport("[Delta_i, Delta_j] = 0", complete=dmax >= COMMUTATOR_DEGREE)
     basis = _exponents(N, dmax)
     ops = _Operators(_cleared(pencil)[0])
     for i, j in itertools.combinations(range(N), 2):
@@ -347,10 +360,9 @@ def verify_descent(i: int, f: MultiPoly, pencil: Pencil) -> RelationReport:
 def verify_descent_suite(
     N: int, pencil: Pencil, dmax: int | None = None
 ) -> RelationReport:
-    """Descent identities over all monomials of degree <= dmax and all i."""
-    if dmax is None:
-        dmax = default_dmax(N) - 1
-    report = RelationReport("descent suite")
+    """Descent identities for all i on monomials of degree <= dmax (FIRST_ORDER_DEGREE if None)."""
+    dmax = FIRST_ORDER_DEGREE if dmax is None else dmax
+    report = RelationReport("descent suite", complete=dmax >= FIRST_ORDER_DEGREE)
     cleared = _cleared(pencil)
     cases = [({e: 1}, sum(e)) for e in _exponents(N, dmax)]
     for i in range(N):
@@ -361,7 +373,7 @@ def verify_descent_suite(
 def verify_delta_q1(pencil: Pencil) -> RelationReport:
     """Delta_i q1 = -2N x_i^2 + 2q exactly; so -2N x_i^2 modulo q."""
     N = pencil.N
-    report = RelationReport("Delta_i q1 = -2N x_i^2 (mod q)")
+    report = RelationReport("Delta_i q1 = -2N x_i^2 (mod q)", complete=True)
     weights, mu, scales = _cleared(pencil)
     ops = _Operators(weights)
     one = {(0,) * N: 1}
@@ -385,13 +397,15 @@ def verify_symbol_pairing(pencil: Pencil, dmax: int | None = None) -> RelationRe
     """The symbol of Delta_i contracted with dq1 dies on the intersection:
 
     -4 sum_{j != i} x_i x_j X_ij + 4 x_i^2 E = 4 q x_i d_i exactly,
-    hence 0 modulo q (E is the Euler operator).  dmax defaults to 2.
+    hence 0 modulo q (E is the Euler operator), checked on every monomial
+    of degree <= dmax (default FIRST_ORDER_DEGREE).
     """
     N = pencil.N
-    report = RelationReport("symbol of Delta_i against dq1")
+    dmax = FIRST_ORDER_DEGREE if dmax is None else dmax
+    report = RelationReport("symbol of Delta_i against dq1", complete=dmax >= FIRST_ORDER_DEGREE)
     ops = _Operators()
     ones = [1] * N
-    basis = _exponents(N, 2 if dmax is None else dmax)
+    basis = _exponents(N, dmax)
     for i in range(N):
         pairs = []
         for j in range(N):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -142,10 +143,8 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert path.read_text().strip()
 
 
-def test_worker_pool_is_deterministic(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QG_THREADS", "4")
+def test_repeated_sample_runs_are_identical(capsys):
     _, out1, _ = run(capsys, "sample", "--n", "5", "--trials", "4", "--seed", "5")
-    monkeypatch.setenv("QG_THREADS", "1")
     _, out2, _ = run(capsys, "sample", "--n", "5", "--trials", "4", "--seed", "5")
     assert out1 == out2
 
@@ -216,6 +215,89 @@ def test_structured_serializers(fix_c):
     assert sep["infinity_multiplicity"] == 0
     assert len(sep["finite_roots"]) == 2 and len(sep["lambdas"]) == 2
     assert sep["p"] == ["24/1+0/1 i", "-40/1+0/1 i", "10/1+0/1 i"]
+
+
+def _checks(out):
+    return {d["check"]: d for d in map(json.loads, out.strip().splitlines()) if "check" in d}
+
+
+@pytest.mark.parametrize("n", [5, 7, 8])
+def test_default_operator_degrees_are_complete_at_every_n(capsys, n):
+    code, out, _ = run(capsys, "diffops-verify", "--n", str(n))
+    assert code == EXIT_OK
+    checks = _checks(out)
+    assert len(checks) == 8
+    assert all(d["pass"] and d["complete"] for d in checks.values()), checks
+    # degree 3 for the commutator suites, degree 1 for the first-order ones
+    assert checks["[Delta_i, Delta_j] = 0"]["cases"] == math.comb(n, 2) * math.comb(n + 3, 3)
+    assert checks["descent suite"]["cases"] == 2 * n * (n + 1)
+
+
+def test_dmax_below_the_order_bound_is_reported_incomplete(capsys):
+    code, out, _ = run(capsys, "diffops-verify", "--n", "5", "--dmax", "2")
+    assert code == EXIT_OK
+    complete = {name: d["complete"] for name, d in _checks(out).items()}
+    assert complete == {
+        "[Om_ij, Om_kl] = 0 for disjoint pairs": False,
+        "[Om_ij, Om_ik + Om_jk] = 0": False,
+        "[Om_ij, Om_ij + Om_ik + Om_jk] = 0": False,
+        "[X_ij, X_ik] = -X_jk": False,
+        "[Delta_i, Delta_j] = 0": False,
+        "descent suite": True,
+        "Delta_i q1 = -2N x_i^2 (mod q)": True,
+        "symbol of Delta_i against dq1": True,
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "diffops-verify"])
+def test_n_is_taken_from_mu(capsys, command):
+    # six marked points and no --n used to fail with "pencil size mismatch"
+    trials = ["--trials", "1"] if command == "verify" else []
+    code, out, err = run(capsys, command, "--mu", "0,1,2,3,4,5", "--dmax", "1", *trials)
+    assert code == EXIT_OK, err
+    assert _checks(out)["descent suite"]["cases"] == 2 * 6 * 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "9", "--mu", "0,1,2,3,4"],
+    ["classify", "--n", "9", "--mu", "0,1,2,3,4"],
+    ["verify", "--n", "5", "--mu", "0,1,2,3,4,5"],
+    ["diffops-verify", "--n", "7", "--mu", "0,1,2,3,4,5"],
+])
+def test_n_disagreeing_with_mu_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "disagrees" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diffops-verify", "--dmax", "-1"],
+    ["verify", "--trials", "0"],
+    ["classify", "--trials", "0"],
+    ["orthomodel-verify", "--trials", "0"],
+    ["verify", "--n", "4", "--skip-operators"],
+    ["sample", "--mu", "0,1,2,3"],
+    ["sample", "--mu", "0,1,2,3,1/0"],
+    ["sample", "--trials", "many"],
+])
+def test_out_of_range_values_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["diffops-verify", "--mode", "float"],
+    ["diffops-verify", "--seed", "1"],
+    ["diffops-verify", "--trials", "2"],
+    ["diffops-verify", "--tol", "1e-6"],
+    ["classify", "--mode", "float"],
+    ["classify", "--tol", "1e-6"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_dmax_reaches_descent_and_symbol_suites(capsys):

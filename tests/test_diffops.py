@@ -225,3 +225,72 @@ def test_suites_at_scale_n10():
     assert descent.passed and descent.cases_checked == 2 * N * B3
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds the 120s bound of C8"
+
+
+# -- the order bounds are tight ------------------------------------------------
+
+
+def test_commutator_suites_are_tight_at_degree_3(monkeypatch):
+    from quadric_gaudin import diffops
+
+    def planted(e):
+        """x_0^3 d_1^3 x^e: an order-3 term, zero on every monomial of degree < 3."""
+        if e[1] < 3:
+            return {}
+        g = list(e)
+        g[0] += 3
+        g[1] -= 3
+        return {tuple(g): e[1] * (e[1] - 1) * (e[1] - 2)}
+
+    def commutes_with_plant(a, b, e):
+        pairs = ((1, diffops._apply(a, b[e])), (-1, diffops._apply(b, a[e])), (1, planted(e)))
+        return not diffops._combine(pairs)
+
+    monkeypatch.setattr(diffops, "_commutes", commutes_with_plant)
+    pencil = Pencil([gr(k) for k in range(5)])
+
+    def reports(dmax):
+        # the three [Om, Om] relations and [Delta_i, Delta_j]; so(3) compares no commutator
+        return verify_kohno_drinfeld(5, dmax)[:3] + [verify_commutation(5, pencil, dmax)]
+
+    assert all(rep.passed for rep in reports(2))
+    x1_cubed = MultiPoly.monomial(5, (0, 3, 0, 0, 0))
+    for rep in reports(3):
+        assert not rep.passed and rep.complete
+        assert rep.first_counterexample.endswith(f"on {x1_cubed!r}")
+
+
+def test_symbol_pairing_is_tight_at_degree_1(monkeypatch):
+    from quadric_gaudin import diffops
+
+    column = diffops._x_column
+
+    def planted(i, j, e):
+        """The column of X_01 gains x_0 d_1 x^e, zero on constants."""
+        col = column(i, j, e)
+        if (i, j) == (0, 1) and e[1]:
+            g = list(e)
+            g[0] += 1
+            g[1] -= 1
+            col = diffops._combine(((1, col), (e[1], {tuple(g): 1})))
+        return col
+
+    monkeypatch.setattr(diffops, "_x_column", planted)
+    pencil = Pencil([gr(k) for k in range(5)])
+    assert verify_symbol_pairing(pencil, 0).passed
+    rep = verify_symbol_pairing(pencil, 1)
+    assert not rep.passed and rep.complete
+    assert rep.first_counterexample == f"exact form i=0 on {MultiPoly.variable(5, 1)!r}"
+
+
+def test_default_degrees_are_the_order_bounds(pencil5):
+    from quadric_gaudin.diffops import COMMUTATOR_DEGREE, FIRST_ORDER_DEGREE
+
+    assert (COMMUTATOR_DEGREE, FIRST_ORDER_DEGREE) == (3, 1)
+    descent = verify_descent_suite(5, pencil5)
+    assert descent.complete and descent.cases_checked == 2 * 5 * 6
+    assert not verify_descent_suite(5, pencil5, 0).complete
+    assert verify_symbol_pairing(pencil5).cases_checked == 2 * 5 * 6
+    assert verify_commutation(5, pencil5).cases_checked == 560
+    assert all(rep.complete for rep in verify_kohno_drinfeld(5))
+    assert not any(rep.complete for rep in verify_kohno_drinfeld(5, 2))
