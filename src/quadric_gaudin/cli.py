@@ -50,7 +50,7 @@ from .phase import (
 )
 from .serialize import dumps, point_from_json, point_to_json, scalar_to_json
 from .unipoly import RootFindingError
-from .verystable import WitnessSearchError, nilpotent_witness
+from .verystable import nilpotent_witness
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -95,11 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--mu", type=_marked_points, default=None,
                       help="comma-separated rational marked points; omit for seeded random pencils")
     base.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
+    # None marks an option that was not given; main() fills in _DEFAULTS
     draws = argparse.ArgumentParser(add_help=False)
-    draws.add_argument("--seed", type=int, default=0)
-    draws.add_argument("--trials", type=_at_least(1), default=3)
+    draws.add_argument("--seed", type=int, default=None, help="default 0")
+    draws.add_argument("--trials", type=_at_least(1), default=None, help="default 3")
     floats = argparse.ArgumentParser(add_help=False)
-    floats.add_argument("--mode", choices=("exact", "float"), default="exact")
+    floats.add_argument("--mode", choices=("exact", "float"), default=None, help="default exact")
     floats.add_argument("--tol", type=float, default=1e-9)
     dmax = argparse.ArgumentParser(add_help=False)
     dmax.add_argument("--dmax", type=_at_least(0), default=None,
@@ -126,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()
+_DEFAULTS = {"seed": 0, "trials": 3, "mode": "exact"}
 
 
 def _load_point(path: str) -> PhasePoint:
@@ -334,6 +336,8 @@ def cmd_classify(args) -> int:
             doc["zero_indices"] = list(verdict.zero_indices)
         if wr.witness is not None:
             doc["witness"] = [scalar_to_json(v) for v in wr.witness]
+        if wr.radicands:
+            doc["witness_radicands"] = [scalar_to_json(v) for v in wr.radicands]
         doc["kernel_dim"] = wr.kernel_dim
         rows.append(
             {
@@ -424,6 +428,13 @@ def cmd_orthomodel_verify(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if getattr(args, "point", None) is not None:
+            for name in ("n", "mu", *_DEFAULTS):
+                if getattr(args, name, None) is not None:
+                    raise _UsageError(f"--{name} does not apply to a --point document")
+        for name, value in _DEFAULTS.items():
+            if getattr(args, name, value) is None:
+                setattr(args, name, value)
         if args.mu is not None:
             if args.n not in (None, len(args.mu)):
                 raise _UsageError(f"--n {args.n} disagrees with the {len(args.mu)} entries of --mu")
@@ -435,7 +446,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, OSError) as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
-    except (WitnessSearchError, RootFindingError, AssertionError) as e:
+    except (RootFindingError, AssertionError) as e:
         sys.stderr.write(dumps({"error": "internal", "type": type(e).__name__, "detail": str(e)}) + "\n")
         return EXIT_INTERNAL
 

@@ -33,9 +33,6 @@ class Matrix:
     def exact(self) -> bool:
         return isinstance(self.rows[0][0], GaussianRational)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def matvec(self, v):
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
@@ -110,15 +107,3 @@ def rank_kernel(m: Matrix, tol: float = 1e-10) -> tuple[int, list[list]]:
             v[pc] = -rows[r_i][fc]
         basis.append(v)
     return rank, basis
-
-
-def solve(m: Matrix, rhs) -> list | None:
-    """One exact solution of M v = rhs, or None if inconsistent."""
-    aug = Matrix([list(r) + [b] for r, b in zip(m.rows, rhs)])
-    rows, pivots = rref(aug)
-    if aug.ncols - 1 in pivots:
-        return None
-    v = [zero_like(m.rows[0][0])] * m.ncols
-    for r_i, pc in enumerate(pivots):
-        v[pc] = rows[r_i][-1]
-    return v

@@ -40,6 +40,8 @@ def point_to_json(pt: PhasePoint) -> dict:
 
 
 def point_from_json(doc: dict) -> PhasePoint:
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in ("mu", "x", "y")):
+        raise ValueError('a point document is an object with "mu", "x" and "y" lists')
     mu = [scalar_from_json(m) for m in doc["mu"]]
     x = [scalar_from_json(v) for v in doc["x"]]
     y = [scalar_from_json(v) for v in doc["y"]]

@@ -198,16 +198,6 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def radical(p: Polynomial) -> Polynomial:
-    """Product of the distinct monic linear factors of p (p squarefree part)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no radical")
-    if p.degree == 0:
-        return Polynomial([ONE])
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g).monic()
-
-
 def squarefree_factorization(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: [(a_k, k)] with p = lead * prod a_k^k, a_k squarefree."""
     if p.is_zero():

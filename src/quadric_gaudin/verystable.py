@@ -20,11 +20,22 @@ solution forces h = 0, so each kernel vector outside the gauge line
 span(x) is a nilpotent witness; the construction is still re-verified
 exactly before anything is returned.
 
-Points with zero coordinates recurse on the reduced pencil (dropping the
-vanishing coordinates) and witnesses embed back by zero padding.  The one
-genuinely delicate corner is a repeated root sitting AT a deleted marked
-point: the linear theory degenerates there, so the witness search falls
-back to enumerating small exact combinations over a relaxed kernel.
+Points with zero coordinates (indices Z) recurse on the reduced pencil,
+and witnesses embed back by zero padding.  When the reduced point is very
+stable but x is not, p = P_Z p_red has double roots at the deleted marked
+points mu_j, j in J = {j in Z : p_red(mu_j) = 0}; the infinity multiplicity
+is the same on both pencils.  For i not in Z put u_i = x_i/(mu_j - mu_i),
+sigma_j = sum u_i^2 = -p_red'(mu_j)/p_D^red(mu_j), nonzero, and
+lambda_j(y) = sum u_i y_i.  With c = P_Z c_red and b = P_Z b_red, comparing
+orders in b^2 + ac = 0 forces y_k = 0 for k in Z outside J, and evaluating
+h(a) = -p_D(a) lambda(a)^2 at mu_j forces y_j^2 = -lambda_j(y)^2/sigma_j.
+On the relaxed kernel (the witness system without its roots at marked
+points) lambda is injective modulo the gauge line, since the reduced point
+is very stable.  As -1 is a square in Q(i), a witness with Gaussian-rational
+coordinates exists iff some sigma_k is a square: the rows u_j (j in J, j !=
+k) and e_j (j in Z) then leave a kernel vector y off the gauge line, and
+y_k = i lambda_k(y)/sqrt(sigma_k) completes it.  Otherwise the sigma_j are
+reported as radicands.
 """
 
 from __future__ import annotations
@@ -36,13 +47,9 @@ from typing import Optional
 
 from .linalg import Matrix, rank_kernel
 from .phase import Pencil, PhasePoint
-from .scalars import ZERO, ONE, gr, as_complex, is_exact
+from .scalars import I, ONE, ZERO, as_complex, dot, is_exact
 from .sov import auxiliary_poly, exact_divisor
 from .unipoly import Polynomial, resultant, squarefree_factorization
-
-
-class WitnessSearchError(RuntimeError):
-    """The last-resort witness search found no exact witness in its range."""
 
 
 VERY_STABLE = "very_stable"
@@ -164,7 +171,8 @@ def witness_system(x, pencil: Pencil) -> Matrix:
 
 def _witness_rows(verdict: StabilityVerdict, strip_marked: bool) -> list[list]:
     """Rows of the witness system; strip_marked drops the roots of p at marked
-    points, the relaxed system of the marked-double-root search."""
+    points, the relaxed system of a double root at a deleted marked point.
+    A zero x_i gives a zero column: its polynomial has no scalar domain."""
     x, pencil = verdict.x, verdict.pencil
     cols = [L.scale(xi) for xi, L in zip(x, pencil.lagrange_numerators())]
     rows = [list(x), [m * v for m, v in zip(pencil.mu, x)]]
@@ -179,9 +187,9 @@ def _witness_rows(verdict: StabilityVerdict, strip_marked: bool) -> list[list]:
             s = s * factor
     if s.degree >= 1:
         rems = [c % s for c in cols]
-        rows.extend([r.coeff(d) for r in rems] for d in range(s.degree))
+        rows.extend([r.coeff(d) if r.coeffs else ZERO for r in rems] for d in range(s.degree))
     top = (verdict.infinity_multiplicity + 1) // 2
-    rows.extend([c.coeff(pencil.n - t) for c in cols] for t in range(top))
+    rows.extend([c.coeff(pencil.n - t) if c.coeffs else ZERO for c in cols] for t in range(top))
     return rows
 
 
@@ -194,10 +202,15 @@ def is_gauge_trivial(x, y) -> bool:
 
 @dataclass(frozen=True)
 class WitnessResult:
+    """``kernel_dim`` is -1 at a double root on a deleted marked point, where
+    the nilpotent covectors form no linear space.  ``radicands`` are the
+    sigma_j there when none is a square, so no witness is Gaussian rational."""
+
     witness: Optional[tuple]
     kernel_dim: int
     kernel_is_gauge_line: bool
     verdict: StabilityVerdict
+    radicands: tuple = ()
 
 
 def nilpotent_witness(x, pencil: Pencil) -> WitnessResult:
@@ -206,8 +219,11 @@ def nilpotent_witness(x, pencil: Pencil) -> WitnessResult:
     Wobbly x: returns y with both exact certificates (all Hamiltonians zero
     and b^2 + ac identically zero) verified before returning, y not in
     span(x).  Very stable x: returns no witness and certifies that the
-    witness-system kernel is exactly the gauge line span(x).  The result
-    carries the verdict of x that it was built from.
+    witness-system kernel is exactly the gauge line span(x).  A double root
+    at a deleted marked point with no square sigma_j has no witness with
+    Gaussian-rational coordinates: the result then carries no witness and
+    lists the sigma_j as ``radicands``.  The result carries the verdict of x
+    that it was built from.
     """
     return _witness(classify(x, pencil))
 
@@ -225,35 +241,29 @@ def _witness(verdict: StabilityVerdict) -> WitnessResult:
         return WitnessResult(
             witness=None, kernel_dim=1, kernel_is_gauge_line=True, verdict=verdict
         )
-    for y in _witness_candidates(x, basis):
-        if _verified_nilpotent(x, y, pencil):
-            return WitnessResult(
-                witness=tuple(y), kernel_dim=len(basis), kernel_is_gauge_line=False,
-                verdict=verdict,
-            )
-    raise AssertionError("wobbly point but no kernel vector verified nilpotent")
+    return WitnessResult(
+        witness=_verified_nilpotent(x, _off_gauge(x, basis), pencil),
+        kernel_dim=len(basis), kernel_is_gauge_line=False, verdict=verdict,
+    )
 
 
-def _witness_candidates(x, basis):
-    # basis vectors first, then small combinations steering off the gauge line
+def _off_gauge(x, basis) -> list:
+    """The first kernel basis vector off the gauge line; an RREF basis has at
+    most one vector on it."""
     for b in basis:
         if not is_gauge_trivial(x, b):
-            yield b
-    if len(basis) >= 2:
-        for b1, b2 in itertools.combinations(basis, 2):
-            for t in (ONE, -ONE, gr(2), gr(0, 1)):
-                cand = [a + t * c for a, c in zip(b1, b2)]
-                if not is_gauge_trivial(x, cand):
-                    yield cand
+            return list(b)
+    raise AssertionError("witness kernel lies on the gauge line")
 
 
-def _verified_nilpotent(x, y, pencil: Pencil) -> bool:
+def _verified_nilpotent(x, y, pencil: Pencil) -> tuple:
+    """y, once all Hamiltonians vanish and b^2 + ac == 0 exactly at (x, y)."""
     from .higgs import hamiltonians, hecke_transform, is_nilpotent
 
     point = PhasePoint(pencil, x, y)
-    if any(hamiltonians(point)):
-        return False
-    return is_nilpotent(hecke_transform(point))
+    if any(hamiltonians(point)) or not is_nilpotent(hecke_transform(point)):
+        raise AssertionError("witness failed its exact re-verification")
+    return tuple(y)
 
 
 def _witness_degenerate(verdict: StabilityVerdict) -> WitnessResult:
@@ -261,11 +271,9 @@ def _witness_degenerate(verdict: StabilityVerdict) -> WitnessResult:
     red = _witness(verdict.reduced)
     if red.witness is not None:
         y = _zero_pad(red.witness, verdict.zero_indices, pencil.N)
-        if not _verified_nilpotent(x, y, pencil):
-            raise AssertionError("zero-padded witness failed re-verification")
         return WitnessResult(
-            witness=tuple(y), kernel_dim=red.kernel_dim, kernel_is_gauge_line=False,
-            verdict=verdict,
+            witness=_verified_nilpotent(x, y, pencil), kernel_dim=red.kernel_dim,
+            kernel_is_gauge_line=False, verdict=verdict,
         )
     if verdict.resolved_tag == VERY_STABLE:
         return WitnessResult(
@@ -274,17 +282,28 @@ def _witness_degenerate(verdict: StabilityVerdict) -> WitnessResult:
             kernel_is_gauge_line=red.kernel_is_gauge_line,
             verdict=verdict,
         )
-    # repeated root at a deleted marked point: the reduced problem looks very
-    # stable but the full divisor is not.  Search small exact combinations
-    # over the relaxed kernel (conditions only at roots off the marked set).
-    y = _marked_multiple_root_witness(verdict)
-    if y is None:
-        raise WitnessSearchError(
-            "wobbly via a repeated root at a deleted marked point; no witness "
-            "with Gaussian-rational coordinates found in the search range"
+    # double roots at deleted marked points: the closed form of the module docstring
+    zeros, mu = verdict.zero_indices, pencil.mu
+    J = [j for j in zeros if not verdict.reduced.p(mu[j])]
+    if not J:
+        raise AssertionError("wobbly reduction without a root at a deleted marked point")
+    us = [[ZERO if i in zeros else x[i] / (mu[j] - mu[i]) for i in range(pencil.N)] for j in J]
+    sigmas = [dot(u, u) for u in us]
+    roots = [s.sqrt() for s in sigmas]
+    k = next((t for t, r in enumerate(roots) if r is not None), None)
+    if k is None:
+        return WitnessResult(
+            witness=None, kernel_dim=-1, kernel_is_gauge_line=False, verdict=verdict,
+            radicands=tuple(sigmas),
         )
+    rows = _witness_rows(verdict, strip_marked=True)
+    rows.extend(u for t, u in enumerate(us) if t != k)
+    rows.extend([ONE if i == j else ZERO for i in range(pencil.N)] for j in zeros)
+    y = _off_gauge(x, rank_kernel(Matrix(rows))[1])
+    y[J[k]] = I * dot(us[k], y) / roots[k]
     return WitnessResult(
-        witness=tuple(y), kernel_dim=-1, kernel_is_gauge_line=False, verdict=verdict
+        witness=_verified_nilpotent(x, y, pencil), kernel_dim=-1,
+        kernel_is_gauge_line=False, verdict=verdict,
     )
 
 
@@ -294,31 +313,6 @@ def _zero_pad(y_red, zero_indices, N: int):
     for i in range(N):
         out.append(ZERO if i in zero_indices else next(it))
     return out
-
-
-def _marked_multiple_root_witness(verdict: StabilityVerdict, bound: int = 2):
-    """Last-resort exact search for the marked-double-root corner case."""
-    x, pencil = verdict.x, verdict.pencil
-    _, basis = rank_kernel(Matrix(_witness_rows(verdict, strip_marked=True)))
-    if len(basis) < 2:
-        return None
-    coeff_pool = [gr(a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)]
-    rng = random.Random(20240517)
-    combos = list(itertools.product(coeff_pool, repeat=len(basis)))
-    rng.shuffle(combos)
-    for combo in combos[:4000]:
-        y = [ZERO] * pencil.N
-        any_nonzero = False
-        for c, b in zip(combo, basis):
-            if not c:
-                continue
-            any_nonzero = True
-            y = [yi + c * bi for yi, bi in zip(y, b)]
-        if not any_nonzero or is_gauge_trivial(x, y):
-            continue
-        if _verified_nilpotent(x, y, pencil):
-            return y
-    return None
 
 
 # -- properness probe ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -321,24 +322,109 @@ def test_point_document_mixing_domains_is_usage_error(tmp_path, capsys, fix_c, c
     assert out == "" and "mix exact and float scalars" in err
 
 
-def test_exhausted_witness_search_is_internal_failure(tmp_path, capsys):
-    # wobbly via a double root at the deleted marked point 0: the last-resort
-    # search over small combinations finds no witness, which is not a usage error
+@pytest.mark.parametrize("command", ["classify", "orthomodel-verify"])
+@pytest.mark.parametrize("text", [
+    '{"N": 5, "mu": [], "y": []}',
+    '[1, 2]',
+    '{"mu": 1, "x": [], "y": []}',
+], ids=["no-x", "list", "not-a-list"])
+def test_malformed_point_document_is_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--point", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error:") and "point document" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "9"],
+    ["classify", "--mu", "0,1,2,3,4"],
+    ["classify", "--seed", "3"],
+    ["classify", "--trials", "5"],
+    ["orthomodel-verify", "--n", "5"],
+    ["orthomodel-verify", "--mu", "0,1,2,3,4"],
+    ["orthomodel-verify", "--seed", "0"],
+    ["orthomodel-verify", "--trials", "3"],
+    ["orthomodel-verify", "--mode", "exact"],
+])
+def test_point_with_sampling_options_is_usage_error(tmp_path, capsys, fix_c, argv):
+    # the document fixes the pencil and the point: these options would be ignored
+    path = tmp_path / "point.json"
+    path.write_text(dumps(point_to_json(fix_c)))
+    code, out, err = run(capsys, *argv, "--point", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert f"{argv[1]} does not apply to a --point document" in err
+
+
+def test_point_keeps_tol(tmp_path, capsys, fix_c):
+    path = tmp_path / "point.json"
+    path.write_text(dumps(point_to_json(fix_c)))
+    code, out, _ = run(capsys, "orthomodel-verify", "--point", str(path), "--tol", "1e-6")
+    assert code == EXIT_OK
+    assert json.loads(out.strip().splitlines()[-1]) == {"summary": "ok"}
+
+
+def _marked_document(tmp_path, mu, x):
     from quadric_gaudin.phase import Pencil, PhasePoint
     from quadric_gaudin.scalars import ZERO
 
-    sixth = Fraction(1, 6)
-    pencil = Pencil([gr(m) for m in (-11, -7, 0, 7, 11)])
-    x = [gr(sixth), gr(0, sixth), ZERO, gr(0, sixth), gr(sixth)]
     path = tmp_path / "marked.json"
-    path.write_text(dumps(point_to_json(PhasePoint(pencil, x, [ZERO] * 5))))
-    code, out, err = run(capsys, "classify", "--point", str(path))
-    assert code == EXIT_INTERNAL == 70
-    assert out == ""
-    (line,) = err.strip().splitlines()
-    doc = json.loads(line)
-    assert doc["error"] == "internal" and doc["type"] == "WitnessSearchError"
-    assert "no witness" in doc["detail"]
+    pt = PhasePoint(Pencil([gr(m) for m in mu]), x, [ZERO] * len(mu))
+    path.write_text(dumps(point_to_json(pt)))
+    return str(path)
+
+
+def _verified(mu, x, witness):
+    from quadric_gaudin.higgs import hamiltonians, hecke_transform, is_nilpotent
+    from quadric_gaudin.phase import Pencil, PhasePoint
+    from quadric_gaudin.verystable import is_gauge_trivial
+
+    y = [scalar_from_json(v) for v in witness]
+    pt = PhasePoint(Pencil([gr(m) for m in mu]), x, y)
+    return (not any(hamiltonians(pt)) and is_nilpotent(hecke_transform(pt))
+            and not is_gauge_trivial(x, y))
+
+
+def _q(a, b=0):
+    return gr(Fraction(a), Fraction(b))
+
+
+# double roots of p at deleted marked points.  The first used to exhaust a
+# search over small combinations (exit 70), the second to raise TypeError
+# from a complex zero in an exact row; the last two took 23 s to exit 70.
+MARKED_DOCUMENTS = [
+    ((-11, -7, 0, 7, 11), [_q("1/6"), _q(0, "1/6"), _q(0), _q(0, "1/6"), _q("1/6")],
+     {"witness": ["0/1+7/2 i", "-9/2+0/1 i", "0/1-3/1 i", "1/1+0/1 i", "0/1+0/1 i"]}),
+    ((-13, -7, 1, 2, 8, 11), [_q(0), _q(6), _q(0, 54), _q(60), _q(0, 36), _q(24)],
+     {"infinity_multiplicity": 1,
+      "witness": ["-2/1+0/1 i", "0/1-7/2 i", "15/2+0/1 i", "0/1-7/1 i", "1/1+0/1 i", "0/1+0/1 i"]}),
+    ((-9, -1, 2, 3, 7, 11, 13), [_q(176), _q(0), _q(704), _q(0, 880), _q(528), _q(0, 176), _q(0)],
+     {"witness_radicands": ["33880/3+0/1 i", "-3584/1+0/1 i"]}),
+    ((-7, -6, -4, -1, 0, 2, 14),
+     [_q(126), _q(0, "315/2"), _q("189/2"), _q(0), _q("63/2"), _q(0, "63/2"), _q(0)],
+     {"witness_radicands": ["1323/1+0/1 i", "-9/32+0/1 i"]}),
+]
+
+
+@pytest.mark.parametrize("mu, x, expected", MARKED_DOCUMENTS, ids=["N5", "N6", "N7a", "N7b"])
+def test_marked_double_root_documents(tmp_path, capsys, mu, x, expected):
+    path = _marked_document(tmp_path, mu, x)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--point", path)
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK and err == ""
+    got = json.loads(out)
+    assert got["verdict"] == "degenerate" and got["resolved"] == "wobbly"
+    assert got["reduced_chain"] == ["degenerate", "very_stable"]
+    assert expected.items() <= got.items()
+    # exactly one of: a verified witness, or radicands of which none is a square
+    assert ("witness" in got) != ("witness_radicands" in got)
+    if "witness" in got:
+        assert _verified(mu, x, got["witness"])
+    else:
+        assert all(scalar_from_json(s).sqrt() is None for s in got["witness_radicands"])
+    # the closed form takes well under a second; the search it replaced took 23 s
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("error", ["AssertionError", "RootFindingError"])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadric_gaudin.linalg import Matrix, rank_kernel, solve
+from quadric_gaudin.linalg import Matrix, rank_kernel
 from quadric_gaudin.scalars import gr
 
 
@@ -55,14 +55,6 @@ def test_float_rank_with_tolerance():
     resid = m.matvec(v)
     norm = max(abs(val) for val in v)
     assert all(abs(r) <= 1e-9 * 3 * norm for r in resid)
-
-
-def test_exact_solve():
-    m = Matrix([[gr(2), gr(1)], [gr(1), gr(-1)]])
-    sol = solve(m, [gr(5), gr(1)])
-    assert sol == [gr(2), gr(1)]
-    inconsistent = Matrix([[gr(1), gr(1)], [gr(1), gr(1)]])
-    assert solve(inconsistent, [gr(1), gr(2)]) is None
 
 
 def test_matrix_validation():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import quadric_gaudin
 
@@ -20,6 +21,22 @@ def test_no_bare_assert_in_src():
                 found.append(f"{path.name}:{node.lineno}")
     assert sorted(p.name for p in SRC.glob("*.py"))  # the walk saw the package
     assert found == []
+
+
+def test_runtime_imports_are_stdlib_and_numpy():
+    # sympy and hypothesis are test oracles, never runtime dependencies
+    outside = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside.update(top for top in (n.split(".")[0] for n in names)
+                           if top not in sys.stdlib_module_names)
+    assert outside == {"numpy"}
 
 
 def test_every_traced_name_resolves():

@@ -11,7 +11,6 @@ from quadric_gaudin.unipoly import (
     clustered_roots,
     lagrange_interpolate,
     poly_gcd,
-    radical,
     resultant,
     roots,
     squarefree_factorization,
@@ -93,13 +92,12 @@ def test_resultant_gcd_property():
     assert degenerate > 5  # the pool forces repeated roots often enough
 
 
-def test_gcd_and_radical():
+def test_gcd_of_a_repeated_factor():
     lin1 = Polynomial.identity_shift(gr(1))
     lin2 = Polynomial.identity_shift(gr(-2, 1))
     p = lin1 * lin1 * lin2
     g = poly_gcd(p, p.derivative())
     assert g == lin1
-    assert radical(p) == (lin1 * lin2).monic()
 
 
 def test_squarefree_factorization():

@@ -1,9 +1,14 @@
+import cmath
+import math
+import random
+
+import numpy as np
 import pytest
 
 from quadric_gaudin.higgs import hamiltonians, hecke_transform, is_nilpotent
 from quadric_gaudin.linalg import Matrix, rank_kernel
 from quadric_gaudin.phase import Pencil, PhasePoint, sample_phase_point
-from quadric_gaudin.scalars import gr, as_complex
+from quadric_gaudin.scalars import ZERO, as_complex, dot, gr
 from quadric_gaudin.sov import auxiliary_poly, point_from_polynomial
 from quadric_gaudin.unipoly import Polynomial, roots
 from quadric_gaudin.verystable import (
@@ -157,6 +162,129 @@ def test_marked_double_root_corner_case():
     pt = PhasePoint(pw, x, list(res.witness))
     assert all(f.is_zero() for f in hamiltonians(pt))
     assert is_nilpotent(hecke_transform(pt))
+
+
+def marked_double_root_point(seed: int):
+    """N = 5 with x_k = 0 and mu_k at the rational root of the reduced p.
+
+    The reduced point has four real or imaginary Gaussian-integer
+    coordinates on a rational pencil, so its p has degree at most 1.
+    """
+    rng = random.Random(seed)
+    while True:
+        signs = [rng.choice((1, -1)) for _ in range(4)]
+        a = [rng.randint(1, 12) for _ in range(3)]
+        last = -signs[3] * sum(sg * v * v for sg, v in zip(signs, a))
+        if last <= 0 or math.isqrt(last) ** 2 != last:
+            continue
+        xr = [gr(v) if sg > 0 else gr(0, v) for sg, v in zip(signs, a + [math.isqrt(last)])]
+        squares = [v * v for v in xr]
+        tail = [gr(m) for m in rng.sample(range(-9, 10), 3)]
+        mu = [-dot(tail, squares[1:]) / squares[0]] + tail
+        if len(set(mu)) < 4:
+            continue
+        p = auxiliary_poly(xr, Pencil(mu, allow_small=True))
+        if p.degree != 1:
+            continue
+        k = rng.randrange(5)
+        root = -p.coeffs[0] / p.coeffs[1]
+        return Pencil(mu[:k] + [root] + mu[k:]), xr[:k] + [ZERO] + xr[k:]
+
+
+def _assert_witness(x, pencil, y):
+    assert not is_gauge_trivial(x, y)
+    pt = PhasePoint(pencil, x, list(y))
+    assert all(f.is_zero() for f in hamiltonians(pt))
+    assert is_nilpotent(hecke_transform(pt))
+
+
+def test_marked_double_root_sweep():
+    # a witness exactly when some sigma_j is a square, else the non-squares
+    squares = 0
+    for seed in range(100):
+        pencil, x = marked_double_root_point(seed)
+        v = classify(x, pencil)
+        assert v.tag == DEGENERATE and v.resolved_tag == WOBBLY
+        res = nilpotent_witness(x, pencil)
+        if res.witness is not None:
+            squares += 1
+            assert res.radicands == ()
+            _assert_witness(x, pencil, res.witness)
+        else:
+            (sigma,) = res.radicands
+            assert sigma.sqrt() is None
+    assert 0 < squares < 100
+
+
+def test_marked_double_roots_one_square_of_two():
+    # mu = (0, +-11, +-13, +-14): the six nonzero node weights are 2 times a
+    # square, the one at 0 is minus a square.  With p = 2 z^2 (z - 14)^2, J is
+    # {0, 14}: sigma at 14 is a square and sigma at 0 is not
+    pencil = Pencil([gr(m) for m in (-14, -13, -11, 0, 11, 13, 14)])
+    target = Polynomial([gr(0), gr(0), gr(2)]) * Polynomial([gr(196), gr(-28), gr(1)])
+    x = point_from_polynomial(target, pencil)
+    v = classify(x, pencil)
+    assert v.zero_indices == (3, 6) and v.reduced.tag == VERY_STABLE
+    res = nilpotent_witness(x, pencil)
+    assert res.witness is not None and res.radicands == ()
+    _assert_witness(x, pencil, res.witness)
+    # lambda_0 = 0 is forced, so y_0 = 0; y at 14 carries the square root
+    assert res.witness[3].is_zero() and not res.witness[6].is_zero()
+
+
+def _float_marked_witness(pencil, x, j, others, root_sign=1j):
+    """The closed-form y over C, in floats: y_Z = 0, the constraints and
+    lambda_l = 0 (l in others) on the rest, then y_j = i lambda_j / sqrt(sigma_j).
+    Every root of the reduced p here lies in J and none at infinity, so the
+    relaxed witness system is the two constraints."""
+    mu = [as_complex(m) for m in pencil.mu]
+    xf = np.array([as_complex(v) for v in x])
+    keep = [i for i in range(pencil.N) if x[i]]
+
+    def u(l):
+        return np.array([xf[i] / (mu[l] - mu[i]) for i in keep])
+
+    rows = [xf[keep], np.array([mu[i] for i in keep]) * xf[keep]] + [u(l) for l in others]
+    null = np.linalg.svd(np.array(rows))[2][len(rows):].conj()
+    assert null.shape[0] == 2  # the gauge line and one more direction
+    gauge = xf[keep] / np.linalg.norm(xf[keep])
+    v = max((n - np.vdot(gauge, n) * gauge for n in null), key=np.linalg.norm)
+    y = np.zeros(pencil.N, dtype=complex)
+    y[keep] = v / np.linalg.norm(v)
+    y[j] = root_sign * np.dot(u(j), y[keep]) / cmath.sqrt(np.dot(u(j), u(j)))
+    return PhasePoint(pencil.to_float(), list(xf / np.abs(xf).max()), list(y), check=False)
+
+
+def _marked_cases():
+    # twelve sweep points (|J| = 1) and two N = 7 points with |J| = 2
+    cases = [marked_double_root_point(seed) for seed in range(12)]
+    for mu, x in [((-9, -1, 2, 3, 7, 11, 13), (176, 0, 704, 880j, 528, 176j, 0)),
+                  ((-7, -6, -4, -1, 0, 2, 14), (252, 315j, 189, 0, 63, 63j, 0))]:
+        cases.append((Pencil([gr(m) for m in mu]),
+                      [gr(int(c.real), int(c.imag)) for c in map(complex, x)]))
+    return cases
+
+
+def test_forced_square_holds_over_c_where_sigma_is_no_square():
+    # the closed form with a complex sqrt(sigma_j) gives Hamiltonians that
+    # vanish to rounding, so y_j^2 = -lambda_j^2 / sigma_j is the whole story
+    checked = 0
+    for pencil, x in _marked_cases():
+        res = nilpotent_witness(x, pencil)
+        if res.witness is not None:
+            continue
+        v = classify(x, pencil)
+        J = [j for j in v.zero_indices if not v.reduced.p(pencil.mu[j])]
+        for j in J:
+            others = [l for l in J if l != j]
+            pt = _float_marked_witness(pencil, x, j, others)
+            assert max(abs(f) for f in hamiltonians(pt)) < 1e-9
+            assert is_nilpotent(hecke_transform(pt))
+            # control: dropping the factor i leaves nonzero Hamiltonians
+            wrong = _float_marked_witness(pencil, x, j, others, root_sign=1)
+            assert max(abs(f) for f in hamiltonians(wrong)) > 1e-3
+            checked += 1
+    assert checked >= 10
 
 
 def test_dichotomy_over_mixed_corpus():
