@@ -45,7 +45,6 @@ from .verystable import (
     classify,
     nilpotent_witness,
     properness_probe,
-    symmetric_product_image,
     witness_system,
 )
 from .diffops import (

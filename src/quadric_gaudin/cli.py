@@ -144,13 +144,20 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
+def _trial_points(args):
+    """The seeded point of each trial.  An explicit --mu pencil is built once,
+    so every trial samples from the same pencil and its one seed point."""
+    if args.mu is None:
+        yield from (_trial_point(args, trial) for trial in range(args.trials))
+        return
+    pencil = Pencil(args.mu if args.mode == "exact" else [as_complex(m) for m in args.mu])
+    for seed in range(args.seed, args.seed + args.trials):
+        x = sample_point_x(pencil, seed)
+        yield PhasePoint(pencil, x, sample_point_y(pencil, x, seed ^ 0x5BD1E995), tol=args.tol)
+
+
 def _trial_point(args, trial: int) -> PhasePoint:
     seed = args.seed + trial
-    if args.mu is not None:
-        pencil = Pencil(args.mu if args.mode == "exact" else [as_complex(m) for m in args.mu])
-        x = sample_point_x(pencil, seed, mode=args.mode)
-        y = sample_point_y(pencil, x, seed ^ 0x5BD1E995, mode=args.mode)
-        return PhasePoint(pencil, x, y, tol=args.tol)
     if args.mode == "exact":
         return sample_phase_point(args.n, seed)
     # float mode solves the x-constraints directly, so any well-separated
@@ -161,8 +168,8 @@ def _trial_point(args, trial: int) -> PhasePoint:
     attempts = 64
     for attempt in range(attempts):
         fp = Pencil([complex(m) for m in rng.sample(range(-span, span + 1), args.n)])
-        x = sample_point_x(fp, seed + (attempt << 16), mode="float")
-        y = sample_point_y(fp, x, seed ^ 0x5BD1E995 ^ (attempt << 16), mode="float")
+        x = sample_point_x(fp, seed + (attempt << 16))
+        y = sample_point_y(fp, x, seed ^ 0x5BD1E995 ^ (attempt << 16))
         max_y, min_x = max(abs(v) for v in y), min(abs(v) for v in x[:2])
         if max_y <= 40.0 and min_x >= 0.05:
             return PhasePoint(fp, x, y, tol=args.tol)
@@ -174,8 +181,7 @@ def _trial_point(args, trial: int) -> PhasePoint:
 
 def cmd_sample(args) -> int:
     lines = []
-    for trial in range(args.trials):
-        pt = _trial_point(args, trial)
+    for trial, pt in enumerate(_trial_points(args)):
         doc = point_to_json(pt)
         doc["trial"] = trial
         doc["constraint_residuals"] = [scalar_to_json(r) for r in pt.constraint_residuals()]
@@ -269,8 +275,7 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
 def cmd_verify(args) -> int:
     lines = []
     failures = []
-    for trial in range(args.trials):
-        pt = _trial_point(args, trial)
+    for trial, pt in enumerate(_trial_points(args)):
         for name, ok, detail in _verify_one_point(pt, args.tol, args.inject_fault):
             lines.append(dumps({"check": name, "trial": trial, "pass": ok, "detail": detail}))
             if not ok:
@@ -356,13 +361,13 @@ def cmd_classify(args) -> int:
             raise _UsageError("classification requires an exact point document")
         lines.append(classify_x(pt.pencil, pt.x, 0))
     else:
+        explicit = Pencil(args.mu) if args.mu is not None else None
         for trial in range(args.trials):
             seed = args.seed + trial
-            if args.mu is not None:
-                pencil = Pencil(args.mu)
-                x = sample_point_x(pencil, seed, mode="exact")
-            else:
+            if explicit is None:
                 pencil, x = sample_pencil_point(args.n, seed)
+            else:
+                pencil, x = explicit, sample_point_x(explicit, seed)
             lines.append(classify_x(pencil, x, trial))
 
     if args.csv:
@@ -389,7 +394,7 @@ def cmd_orthomodel_verify(args) -> int:
     if args.point is not None:
         points = [_load_point(args.point)]
     else:
-        points = (_trial_point(args, trial) for trial in range(args.trials))
+        points = _trial_points(args)
     lines = []
     failures = 0
     for trial, pt in enumerate(points):

@@ -17,14 +17,18 @@ roots, so exact mode uses two honest constructions instead:
   fixed isotropic seed vector (a chord of q = 0) and then solves the real
   2x2 linear system for mu_1, mu_2, co-sampling a rational pencil with the
   point.  Always succeeds, fully seeded.
-* :func:`sample_point_x` with an explicit exact pencil enumerates small
-  Gaussian-integer solutions of both constraints (meet-in-the-middle on the
-  two moment sums) and picks seed-deterministically among them.
+* :func:`sample_point_x` with an explicit exact pencil takes one exact
+  chord step along X from the pencil's seed point, which a small search
+  finds once per pencil (``Pencil.seed_point``).  X is unirational from any
+  one rational point (Colliot-Thelene, Sansuc and Swinnerton-Dyer, J. reine
+  angew. Math. 373, 1987).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -103,6 +107,12 @@ class Pencil:
                 break
             cs.pop()
         return Polynomial(cs)
+
+    @functools.cached_property
+    def seed_point(self):
+        """A small Gaussian-integer point of X on an exact pencil (the first
+        hit of the seed search), or None if the search finds none; cached."""
+        return _seed_search(self)
 
     def node_weights(self):
         """d_i = prod_{j != i} (mu_i - mu_j) = L_i(mu_i)."""
@@ -242,15 +252,9 @@ def sample_isotropic_x(N: int, rng: random.Random) -> list[GaussianRational]:
     """
     P = [ONE, I] + [ZERO] * (N - 2)
     while True:
-        d = [_draw_gaussian_int(rng, 6) for _ in range(N)]
-        qd = dot(d, d)
-        qpd = d[0] + I * d[1]
-        if not qd or not qpd:
-            continue
-        x = [qd * pi - gr(2) * qpd * di for pi, di in zip(P, d)]
-        if sum(1 for v in x if v) < max(3, N - 2):
-            continue
-        return x
+        x = _chord(P, [_draw_gaussian_int(rng, 6) for _ in range(N)])
+        if x is not None and sum(1 for v in x if v) >= max(3, N - 2):
+            return x
 
 
 def sample_pencil_point(
@@ -284,96 +288,95 @@ def sample_pencil_point(
         return pencil, x
 
 
-def _solve_x_squares(pencil: Pencil, tail):
-    """(x_1^2, x_2^2) forced by the two constraints given x_3..x_N."""
-    mu = pencil.mu
-    s0 = dot(tail, tail)
-    s1 = dot([mu[i + 2] * v for i, v in enumerate(tail)], tail)
-    d = mu[0] - mu[1]
-    x1sq = (mu[1] * s0 - s1) / d
-    x2sq = (s1 - mu[0] * s0) / d
-    return x1sq, x2sq
+def _seed_search(pencil: Pencil):
+    """The first x in Z[i]^N on both quadrics with entries a + bi, |a|, |b| <= 2,
+    and at least three nonzero coordinates, or None if there is none.
 
-
-def sample_point_x(pencil: Pencil, seed: int, mode: str = "exact"):
-    """Sample x on the constraint cone of an explicit pencil.
-
-    Float mode implements the direct construction: draw x_3..x_N, solve the
-    2x2 system for (x_1^2, x_2^2), take complex square roots.  Exact mode
-    enumerates small Gaussian-integer solutions of both constraints instead,
-    since the solved squares almost never have Gaussian-rational roots.
+    Meet in the middle: the moment sums (q, q1) of every leading half are
+    tabulated, then the trailing halves are scanned for the negated sums.
+    The table costs 25^(N/2) entries, so the search runs once per pencil.
     """
-    if mode == "float":
-        rng = random.Random(seed)
-        fp = pencil if not pencil.exact else pencil.to_float()
-        while True:
-            tail = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(pencil.N - 2)]
-            x1sq, x2sq = _solve_x_squares(fp, tail)
-            x = [x1sq ** 0.5, x2sq ** 0.5] + tail
-            if not any(x):
-                continue
-            return x
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
+    N, mu = pencil.N, pencil.mu
+    vals = [gr(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    # per coordinate: (x_i, x_i^2, mu_i x_i^2) for each candidate entry
+    terms = [[(v, v * v, m * v * v) for v in vals] for m in mu]
+    left: dict = {}
+    for combo in itertools.product(*terms[:N // 2]):
+        key = (total(t[1] for t in combo), total(t[2] for t in combo))
+        left.setdefault(key, []).append(combo)
+    for combo in itertools.product(*terms[N // 2:]):
+        key = (-total(t[1] for t in combo), -total(t[2] for t in combo))
+        for lead in left.get(key, ()):
+            x = [t[0] for t in lead + combo]
+            if sum(1 for v in x if v) >= 3:
+                return x
+    return None
+
+
+def _chord(P, v, w=None):
+    """Q(v) P - 2 B(P, v) v for B(a, b) = sum_i w_i a_i b_i (w_i = 1 if w is None):
+    for Q(P) = 0, the second point where the line P + t v meets {Q = 0}; for
+    w = 1, Q(v) times the reflection of P through v.  None when Q(v) or
+    B(P, v) vanishes, as the line then meets {Q = 0} again only at infinity
+    or only at P."""
+    wv = v if w is None else [m * c for m, c in zip(w, v)]
+    # the isotropic seeds P are mostly zeros, so B(P, v) skips them
+    q, b = dot(wv, v), total(p * c for p, c in zip(P, wv) if p)
+    if not q or not b:
+        return None
+    b = b + b
+    return [q * p - b * c for p, c in zip(P, v)]
+
+
+def sample_point_x(pencil: Pencil, seed: int):
+    """Sample x on the constraint cone of an explicit pencil, in its domain.
+
+    A float pencil gets the direct construction: draw x_3..x_N, solve the
+    2x2 system for (x_1^2, x_2^2), take complex square roots.  Those squares
+    almost never have Gaussian-rational roots, so an exact pencil takes one
+    chord step from its seed point P (``Pencil.seed_point``): for v in the
+    randomly reflected isotropic plane span(e1 + i e2, e3 + i e4) with
+    B(P, v) = 0, the line P + t v lies in {q = 0} and meets {q1 = 0} again at
+    x = Q1(v) P - 2 B1(P, v) v, so sum P_i x_i = 0 too.  Every sample steps
+    from P, as each chained step would triple the height, and has its
+    content divided out.  x is never proportional to P: v would be too, and
+    B1(P, cP) = c Q1(P) = 0 leaves no chord.
+    """
+    rng = random.Random(seed)
+    N, mu = pencil.N, pencil.mu
     if not pencil.exact:
-        raise ValueError("exact sampling needs an exact pencil")
-    solutions = _integer_cone_points(pencil)
-    if not solutions:
+        tail = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(N - 2)]
+        s0 = dot(tail, tail)
+        s1 = dot([mu[i + 2] * v for i, v in enumerate(tail)], tail)
+        d = mu[0] - mu[1]
+        return [((mu[1] * s0 - s1) / d) ** 0.5, ((s1 - mu[0] * s0) / d) ** 0.5] + tail
+    P = pencil.seed_point
+    if P is None:
         raise ValueError(
             "no small Gaussian-integer points found on this pencil; "
             "use float mode or sample_pencil_point"
         )
-    rng = random.Random(seed)
-    base = list(solutions[rng.randrange(len(solutions))])
-    # sign flips and exact rational scalings preserve both constraints
-    flips = [rng.choice((1, -1)) for _ in base]
-    scale = gr(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
-    return [scale * (v if f > 0 else -v) for v, f in zip(base, flips)]
+    e12 = [ONE, I] + [ZERO] * (N - 2)
+    e34 = [ZERO, ZERO, ONE, I] + [ZERO] * (N - 4)
+    while True:
+        d = [_draw_gaussian_int(rng, 2) for _ in range(N)]
+        w1, w2 = _chord(e12, d), _chord(e34, d)
+        if w1 is None or w2 is None:
+            continue
+        b1, b2 = dot(P, w1), dot(P, w2)
+        v = [b2 * a - b1 * b for a, b in zip(w1, w2)]
+        x = _chord(P, v, mu)
+        if x is not None:
+            # divide out the content gcd(numerators) / lcm(denominators)
+            parts = [c for z in x for c in (z.re, z.im)]
+            scale = gr(Fraction(math.lcm(*(c.denominator for c in parts)),
+                                math.gcd(*(c.numerator for c in parts))))
+            return [scale * z for z in x]
 
 
-_CONE_CACHE: dict = {}
-
-
-def _integer_cone_points(pencil: Pencil, bound: int = 2, cap: int = 4096):
-    """All x in Z[i]^N, entries bounded, on both quadrics (meet-in-middle)."""
-    key = (tuple((m.re, m.im) for m in pencil.mu), bound)
-    if key in _CONE_CACHE:
-        return _CONE_CACHE[key]
-    N = pencil.N
-    mu = pencil.mu
-    vals = [
-        gr(a, b)
-        for a in range(-bound, bound + 1)
-        for b in range(-bound, bound + 1)
-    ]
-    half = N // 2
-    left: dict = {}
-    for combo in itertools.product(vals, repeat=half):
-        k0 = dot(combo, combo)
-        k1 = dot([mu[i] * v for i, v in enumerate(combo)], combo)
-        left.setdefault(_scalar_key(k0, k1), []).append(combo)
-    out = []
-    for combo in itertools.product(vals, repeat=N - half):
-        k0 = dot(combo, combo)
-        k1 = dot([mu[half + i] * v for i, v in enumerate(combo)], combo)
-        want = _scalar_key(-k0, -k1)
-        for lead in left.get(want, ()):
-            x = list(lead) + list(combo)
-            if sum(1 for v in x if v) >= 3:
-                out.append(tuple(x))
-                if len(out) >= cap:
-                    _CONE_CACHE[key] = out
-                    return out
-    _CONE_CACHE[key] = out
-    return out
-
-
-def _scalar_key(a: GaussianRational, b: GaussianRational):
-    return (a.re, a.im, b.re, b.im)
-
-
-def sample_point_y(pencil: Pencil, x, seed: int, mode: str = "exact"):
-    """Draw a covector representative: solve two linear constraints for a pivot pair.
+def sample_point_y(pencil: Pencil, x, seed: int):
+    """Draw a covector representative in the pencil's domain: solve two linear
+    constraints for a pivot pair.
 
     Requires two indices i, j with x_i, x_j != 0; re-pivots automatically and
     raises DegeneratePointError when no usable pair exists.
@@ -386,12 +389,10 @@ def sample_point_y(pencil: Pencil, x, seed: int, mode: str = "exact"):
         raise DegeneratePointError("need two indices with x_i != 0 to solve for y")
     i0, i1 = usable[0], usable[1]
     rest = [i for i in range(N) if i not in (i0, i1)]
-    if mode == "exact":
+    if pencil.exact:
         draw = {i: _draw_gaussian_int(rng, 9) for i in rest}
-    elif mode == "float":
-        draw = {i: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for i in rest}
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        draw = {i: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for i in rest}
     # x_{i0} y_{i0} + x_{i1} y_{i1} = -sum_rest x_i y_i   (and mu-weighted)
     s0 = -total(x[i] * draw[i] for i in rest)
     s1 = -total(mu[i] * x[i] * draw[i] for i in rest)
@@ -411,5 +412,5 @@ def sample_point_y(pencil: Pencil, x, seed: int, mode: str = "exact"):
 def sample_phase_point(N: int, seed: int) -> PhasePoint:
     """Seeded exact constrained point with its co-sampled pencil."""
     pencil, x = sample_pencil_point(N, seed)
-    y = sample_point_y(pencil, x, seed ^ 0x9E3779B9, mode="exact")
+    y = sample_point_y(pencil, x, seed ^ 0x9E3779B9)
     return PhasePoint(pencil, x, y)

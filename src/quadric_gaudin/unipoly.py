@@ -78,7 +78,8 @@ class Polynomial:
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return zero_like(self.coeffs[0]) if self.coeffs else 0j
+        # the zero polynomial has no domain; the int 0 is exact in both
+        return zero_like(self.coeffs[0]) if self.coeffs else 0
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

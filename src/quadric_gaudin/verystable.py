@@ -146,13 +146,6 @@ def classify(x, pencil: Pencil) -> StabilityVerdict:
     )
 
 
-def symmetric_product_image(x, pencil: Pencil) -> StabilityVerdict:
-    """The image of x in the n-fold symmetric product of P^1: the divisor of
-    p, infinity included, read through ``points()``; distinct iff x is very
-    stable."""
-    return classify(x, pencil)
-
-
 # -- the exact witness system -------------------------------------------------
 
 
@@ -172,7 +165,7 @@ def witness_system(x, pencil: Pencil) -> Matrix:
 def _witness_rows(verdict: StabilityVerdict, strip_marked: bool) -> list[list]:
     """Rows of the witness system; strip_marked drops the roots of p at marked
     points, the relaxed system of a double root at a deleted marked point.
-    A zero x_i gives a zero column: its polynomial has no scalar domain."""
+    A zero x_i gives a zero column, whose zero polynomial reads as the int 0."""
     x, pencil = verdict.x, verdict.pencil
     cols = [L.scale(xi) for xi, L in zip(x, pencil.lagrange_numerators())]
     rows = [list(x), [m * v for m, v in zip(pencil.mu, x)]]
@@ -187,9 +180,9 @@ def _witness_rows(verdict: StabilityVerdict, strip_marked: bool) -> list[list]:
             s = s * factor
     if s.degree >= 1:
         rems = [c % s for c in cols]
-        rows.extend([r.coeff(d) if r.coeffs else ZERO for r in rems] for d in range(s.degree))
+        rows.extend([r.coeff(d) for r in rems] for d in range(s.degree))
     top = (verdict.infinity_multiplicity + 1) // 2
-    rows.extend([c.coeff(pencil.n - t) if c.coeffs else ZERO for c in cols] for t in range(top))
+    rows.extend([c.coeff(pencil.n - t) for c in cols] for t in range(top))
     return rows
 
 

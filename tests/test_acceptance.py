@@ -149,8 +149,8 @@ def _very_stable_float_point(seed: int):
     rng = random.Random(seed)
     mu = rng.sample(range(-18, 19), 6)
     pencil = Pencil([complex(m) for m in mu])
-    x = sample_point_x(pencil, seed, mode="float")
-    y = sample_point_y(pencil, x, seed + 1, mode="float")
+    x = sample_point_x(pencil, seed)
+    y = sample_point_y(pencil, x, seed + 1)
     pt = PhasePoint(pencil, x, y)
     p = auxiliary_poly(x, pencil)
     if p.degree != pencil.n:

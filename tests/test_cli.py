@@ -55,6 +55,28 @@ def test_sample_usage_errors(capsys):
     assert code == EXIT_USAGE and "distinct" in err
 
 
+def test_explicit_pencil_without_a_seed_point_is_usage_error(capsys):
+    # no point with entries a + bi, |a|, |b| <= 2, lies on this pencil's X
+    code, out, err = run(capsys, "sample", "--mu=-12,-6,0,5,9", "--trials", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("usage error: no small Gaussian-integer points found on this pencil; "
+                   "use float mode or sample_pencil_point\n")
+
+
+def test_explicit_pencil_seed_search_runs_once_per_command(capsys, monkeypatch):
+    from quadric_gaudin import phase
+
+    calls = []
+    search = phase._seed_search
+    monkeypatch.setattr(phase, "_seed_search", lambda pencil: calls.append(pencil) or search(pencil))
+    code, out, _ = run(capsys, "sample", "--mu", "0,1,2,3,4,5", "--trials", "3")
+    assert code == EXIT_OK and len(out.strip().splitlines()) == 3
+    assert len(calls) == 1
+    code, out, _ = run(capsys, "classify", "--mu", "0,1,2,3,4,5", "--trials", "3")
+    assert code == EXIT_OK and len(out.strip().splitlines()) == 3
+    assert len(calls) == 2
+
+
 def test_sample_deterministic(capsys):
     _, out1, _ = run(capsys, "sample", "--n", "5", "--trials", "2", "--seed", "7")
     _, out2, _ = run(capsys, "sample", "--n", "5", "--trials", "2", "--seed", "7")

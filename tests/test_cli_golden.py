@@ -5,7 +5,8 @@ any printed digit (including the order of float operations) fails here.
 The two runs with operator suites use their default degrees, the
 differential-order bounds of ``diffops`` (3 for the commutator suites, 1 for
 descent and the symbol pairing), so they pin those degrees and each line's
-``complete`` field.
+``complete`` field.  ``sample --mu`` pins the exact explicit-pencil sampler:
+one chord step from the pencil's seed point per trial.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from quadric_gaudin.cli import main
 
 GOLDEN = [
     ("sample --n 6 --trials 3 --seed 1", 0, "ee46e60f80bc409bd15def95b0931e191edff2f4f9cfa6f92b0f61f7cded4f55"),
-    ("sample --mu 0,1,2,3,4 --trials 2 --seed 8", 0, "154adf3a5445cbcbe06b948a75740cc04eeb6ca2a290df9126dc4c1987ecb14f"),
+    ("sample --mu 0,1,2,3,4 --trials 2 --seed 8", 0, "93fa139e0ed19295df9564eb5bcd827240b50f3ad29da8ec1d0258241c9ee6c6"),
     ("sample --n 7 --trials 2 --seed 4 --mode float", 0, "f47e11114f8eed217542acf7f984e300344e4a0695c78b53a823624f76bf779b"),
     ("verify --n 5 --trials 3 --seed 0 --skip-operators", 0, "dbc57226ba1dedc739f42c546b1c9cc1b0072413ae6bc1509e5a19f841a9c3e8"),
     ("verify --n 7 --trials 2 --seed 9 --skip-operators", 0, "cd7bacc26cfae03159799a8b057b79f98e524018afdd4e2d5132ed9664ab307b"),

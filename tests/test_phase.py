@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +18,7 @@ from quadric_gaudin.phase import (
     sample_point_y,
 )
 from quadric_gaudin.higgs import hamiltonians
-from quadric_gaudin.scalars import gr
+from quadric_gaudin.scalars import dot, gr
 
 
 def test_pencil_invariants():
@@ -99,17 +101,46 @@ def test_poisson_bracket_off_shell_observation():
 
 def test_sampler_x_explicit_pencil(pencil01234):
     for seed in range(5):
-        x = sample_point_x(pencil01234, seed, mode="exact")
+        x = sample_point_x(pencil01234, seed)
         s0 = sum((v * v for v in x[1:]), x[0] * x[0])
         s1 = sum((m * v * v for m, v in zip(pencil01234.mu[1:], x[1:])),
                  pencil01234.mu[0] * x[0] * x[0])
         assert s0.is_zero() and s1.is_zero()
 
 
+def _explicit_pencils():
+    yield from (Pencil([gr(k) for k in range(N)]) for N in (5, 6, 7))
+    for seed in range(3):
+        yield Pencil([gr(m) for m in random.Random(seed).sample(range(-12, 13), 6)])
+    # rational marked points: the chord has denominators to divide out
+    yield Pencil([gr(Fraction(m, 3)) for m in (-7, -2, 1, 4, 11)])
+
+
+@pytest.mark.parametrize("pencil", list(_explicit_pencils()),
+                         ids=lambda p: ",".join(str(m.re) for m in p.mu))
+def test_chord_samples_on_explicit_pencils(pencil):
+    P = pencil.seed_point
+    assert P is not None and sum(1 for v in P if v) >= 3
+    seen = set()
+    for seed in range(10):
+        x = sample_point_x(pencil, seed)
+        assert not dot(x, x) and not dot([m * v for m, v in zip(pencil.mu, x)], x)
+        # not proportional to the seed point: a new point of X
+        assert any(P[i] * x[j] != P[j] * x[i] for i, j in itertools.combinations(range(pencil.N), 2))
+        # one chord step stays in the tangent hyperplane of {q = 0} at P
+        assert not dot(P, x)
+        # content divided out: Gaussian integers whose parts share no factor
+        parts = [c for v in x for c in (v.re, v.im)]
+        assert all(c.denominator == 1 for c in parts)
+        assert math.gcd(*(c.numerator for c in parts)) == 1
+        seen.add(tuple(x))
+    assert len(seen) == 10
+
+
 def test_sampler_x_float(pencil01234):
     fp = pencil01234.to_float()
     for seed in range(5):
-        x = sample_point_x(fp, seed, mode="float")
+        x = sample_point_x(fp, seed)
         s0 = sum(v * v for v in x)
         s1 = sum(m * v * v for m, v in zip(fp.mu, x))
         scale = max(abs(v) for v in x) ** 2
@@ -118,14 +149,14 @@ def test_sampler_x_float(pencil01234):
 
 def test_sampler_y(pencil01234, fix_a):
     for seed in range(5):
-        y = sample_point_y(pencil01234, fix_a, seed, mode="exact")
+        y = sample_point_y(pencil01234, fix_a, seed)
         pt = PhasePoint(pencil01234, fix_a, y)
         assert all(r.is_zero() for r in pt.constraint_residuals())
 
 
 def test_sampler_y_repivots_past_zero_coordinates(pencil01234, fix_b):
     # fix_b has x_5 = 0; the pivot pair must move to usable indices
-    y = sample_point_y(pencil01234, fix_b, 3, mode="exact")
+    y = sample_point_y(pencil01234, fix_b, 3)
     pt = PhasePoint(pencil01234, fix_b, y)
     assert all(r.is_zero() for r in pt.constraint_residuals())
     with pytest.raises(DegeneratePointError):

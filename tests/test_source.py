@@ -23,6 +23,47 @@ def test_no_bare_assert_in_src():
     assert found == []
 
 
+def _module_level(body):
+    """Statements run at import time: the module body and the blocks of its
+    compound statements, but not function or class bodies."""
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level(getattr(node, field, []))
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, (ast.List, ast.Set)):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set") and not node.args and not node.keywords)
+
+
+def empty_module_containers(source: str, name: str) -> list[str]:
+    found = []
+    for node in _module_level(ast.parse(source, name).body):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
+                and _is_empty_container(node.value):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_module_level_mutable_cache():
+    # an empty module-level dict, list or set is state shared by every caller
+    # in the process; per-object state (such as Pencil.seed_point) holds caches
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found.extend(empty_module_containers(path.read_text(), path.name))
+    assert found == []
+    for text in ("_CACHE: dict = {}", "_CACHE = []", "_CACHE = set()", "_CACHE = dict()",
+                 "if True:\n    _CACHE = list()"):
+        assert len(empty_module_containers(text, "probe.py")) == 1, text
+    assert empty_module_containers("_DEFAULTS = {'seed': 0}\ndef f():\n    cache = {}", "probe.py") == []
+
+
 def test_runtime_imports_are_stdlib_and_numpy():
     # sympy and hypothesis are test oracles, never runtime dependencies
     outside = set()

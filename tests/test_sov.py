@@ -163,8 +163,8 @@ def test_duality_float_points():
 
         pencil, _ = sample_pencil_point(6, 900 + seed)
         fp = pencil.to_float()
-        x = sample_point_x(fp, seed, mode="float")
-        y = sample_point_y(fp, x, seed + 1, mode="float")
+        x = sample_point_x(fp, seed)
+        y = sample_point_y(fp, x, seed + 1)
         pt = PhasePoint(fp, x, y)
         try:
             rep = hamiltonians_via_sov(pt)

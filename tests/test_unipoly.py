@@ -44,6 +44,15 @@ def test_degree_and_trimming():
     assert p.degree == 1 and len(p.coeffs) == 2
 
 
+def test_zero_polynomial_coefficient_is_exact_in_both_domains():
+    # the zero polynomial has no domain; its coefficients must not turn
+    # exact arithmetic into complex
+    z = Polynomial.zero().coeff(3)
+    exact = z + gr(1)
+    assert exact == gr(1) and type(exact) is type(gr(1))
+    assert z + 1.5j == 1.5j
+
+
 def test_arithmetic_and_eval():
     p = Polynomial([gr(-1), gr(0), gr(1)])  # z^2 - 1
     q = Polynomial([gr(1), gr(1)])  # z + 1

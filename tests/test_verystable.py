@@ -19,7 +19,6 @@ from quadric_gaudin.verystable import (
     is_gauge_trivial,
     nilpotent_witness,
     properness_probe,
-    symmetric_product_image,
     witness_system,
 )
 
@@ -58,11 +57,11 @@ def test_classify_rejects_bad_inputs(pencil01234):
 
 
 def test_symmetric_product_image(pencil01234, fix_a):
-    img = symmetric_product_image(fix_a, pencil01234)
+    img = classify(fix_a, pencil01234)
     assert len(img.points()) == pencil01234.n
     assert img.distinct
     pencil, x, _ = exact_wobbly_point(5)
-    img2 = symmetric_product_image(x, pencil)
+    img2 = classify(x, pencil)
     assert not img2.distinct
     assert img2.points()[0] == img2.points()[1]
 
@@ -73,7 +72,7 @@ def test_symmetric_product_image_infinity_bookkeeping():
     xinf = [gr(1), gr(0, 3), gr(4), gr(0, 3), gr(1)]
     p = auxiliary_poly(xinf, pw)
     assert p.degree == 0
-    img = symmetric_product_image(xinf, pw)
+    img = classify(xinf, pw)
     assert img.infinity_multiplicity == 2 and img.points() == ["inf", "inf"]
     assert not img.distinct
     # deg p = n - 1 (float, descriptive): one point lands at infinity
@@ -307,7 +306,7 @@ def test_discriminant_consistency():
         pencil, x, _ = exact_wobbly_point(60 + seed)
         p = auxiliary_poly(x, pencil)
         assert resultant(p, p.derivative()).is_zero()
-        img = symmetric_product_image(x, pencil)
+        img = classify(x, pencil)
         assert not img.distinct
         assert classify(x, pencil).tag == WOBBLY
     for seed in range(8):
@@ -316,7 +315,7 @@ def test_discriminant_consistency():
         v = classify(list(pt.x), pt.pencil)
         if v.tag == VERY_STABLE and v.infinity_multiplicity == 0:
             assert not resultant(p, p.derivative()).is_zero()
-            assert symmetric_product_image(list(pt.x), pt.pencil).distinct
+            assert classify(list(pt.x), pt.pencil).distinct
 
 
 def test_mobius_cross_validation_simple_infinity():
