@@ -10,14 +10,17 @@ exact; there is no float path.  The verification drivers apply the
 relations to exhaustive monomial bases and demand exact equality.
 
 Operators act on sparse vectors: dicts from exponent tuples to exact
-scalars.  The one kernel is the column of X_ij at a monomial x^e, at most
-two integer entries (``_x_column``).  Every X_ij preserves degree, so on
-each degree block Omega_ij and Delta_i are sparse matrices; a suite builds
-their columns from those of X_ij once, on first use, and keeps them for
-that call only (``_Operators``).  A relation is then checked one basis
-monomial at a time as one sparse column, e.g. ``[Delta_i, Delta_j] e`` as
-``Delta_i(Delta_j[e]) == Delta_j(Delta_i[e])``.  ``apply_X`` and
-``apply_Delta`` apply the same columns to a ``MultiPoly`` by linearity.
+scalars, worked on by the sparse-vector kernel of ``multipoly``
+(``_apply``, ``_combine``, ``_shift``); this module defines none of its
+own.  The one operator it builds from scratch is the column of X_ij at a
+monomial x^e, at most two integer entries (``_x_column``).  Every X_ij
+preserves degree, so on each degree block Omega_ij and Delta_i are sparse
+matrices; a suite builds their columns from those of X_ij once, on first
+use, and keeps them for that call only (``_Operators``).  A relation is
+then checked one basis monomial at a time as one sparse column, e.g.
+``[Delta_i, Delta_j] e`` as ``Delta_i(Delta_j[e]) == Delta_j(Delta_i[e])``.
+``apply_X`` and ``apply_Delta`` apply the same columns to a ``MultiPoly``
+by linearity.
 
 The suites that involve the pencil clear denominators once per pencil:
 mu is scaled by the common denominator L of its entries, and Delta_i by
@@ -58,7 +61,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .multipoly import MultiPoly, reduce_mod_quadrics
+from .multipoly import MultiPoly, _apply, _combine, _shift, reduce_mod_quadrics
 from .phase import Pencil, PhasePoint
 from .scalars import GaussianRational, ONE, gr
 
@@ -66,7 +69,7 @@ COMMUTATOR_DEGREE = 3
 FIRST_ORDER_DEGREE = 1
 
 
-# -- the kernel: sparse columns on the monomial basis ------------------------
+# -- the columns of X_ij on the monomial basis -------------------------------
 
 
 def _x_column(i: int, j: int, e: tuple) -> dict:
@@ -83,32 +86,6 @@ def _x_column(i: int, j: int, e: tuple) -> dict:
         g[j] += 1
         out[tuple(g)] = -e[i]
     return out
-
-
-def _apply(op, vec: dict) -> dict:
-    """The operator with columns op[e] applied to vec by linearity; no zero entries."""
-    out = {}
-    for e, c in vec.items():
-        for g, w in op[e].items():
-            s = out.get(g)
-            s = c * w if s is None else s + c * w
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-    return out
-
-
-def _combine(pairs) -> dict:
-    """sum of c * v over (c, v) pairs: the vectors as the columns of an operator,
-    applied to the coefficients."""
-    pairs = list(pairs)
-    return _apply([v for _, v in pairs], {k: c for k, (c, _) in enumerate(pairs)})
-
-
-def _shift(vec: dict, s: tuple) -> dict:
-    """vec times the monomial x^s."""
-    return {tuple(a + b for a, b in zip(e, s)): c for e, c in vec.items()}
 
 
 def _square(N: int, i: int) -> tuple:

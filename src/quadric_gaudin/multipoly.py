@@ -4,6 +4,13 @@ Terms map exponent tuples (length = number of variables) to Gaussian
 rationals; zero coefficients are never stored.  This is the substrate for
 the rotation operators and for normal forms modulo the two diagonal
 quadrics q = sum x_i^2 and q1 = sum mu_i x_i^2.
+
+Such a dict is a sparse vector on the monomial basis, and this module holds
+the one kernel that works on them: ``_apply`` (an operator given by its
+sparse columns, applied by linearity), ``_combine`` (a linear combination)
+and ``_shift`` (times a monomial).  ``MultiPoly`` arithmetic runs on it, and
+so do the operator suites in ``diffops``.  ``reduce_mod_quadrics`` keeps its
+own rewriting loop.
 """
 
 from __future__ import annotations
@@ -84,82 +91,38 @@ class MultiPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _check_nvars(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if not s:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        r = MultiPoly.__new__(MultiPoly)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        self._check_nvars(other)
+        return _poly(self.nvars, _combine(((1, self.terms), (1, other.terms))))
 
     def __neg__(self) -> "MultiPoly":
-        r = MultiPoly.__new__(MultiPoly)
-        r.nvars = self.nvars
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return _poly(self.nvars, _combine([(-1, self.terms)]))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        self._check_nvars(other)
+        return _poly(self.nvars, _combine(((1, self.terms), (-1, other.terms))))
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out: dict[tuple, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if not s:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        r = MultiPoly.__new__(MultiPoly)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+        self._check_nvars(other)
+        terms = other.terms
+        return _poly(self.nvars, _combine((c, _shift(terms, e)) for e, c in self.terms.items()))
 
     def scale(self, c) -> "MultiPoly":
         c = c if isinstance(c, GaussianRational) else gr(c)
-        if not c:
-            return MultiPoly.zero(self.nvars)
-        r = MultiPoly.__new__(MultiPoly)
-        r.nvars = self.nvars
-        r.terms = {e: c * v for e, v in self.terms.items()}
-        return r
+        return _poly(self.nvars, _combine([(c, self.terms)]))
 
     def mul_monomial(self, exps: tuple, c=ONE) -> "MultiPoly":
-        if not c:
-            return MultiPoly.zero(self.nvars)
-        r = MultiPoly.__new__(MultiPoly)
-        r.nvars = self.nvars
-        r.terms = {
-            tuple(a + b for a, b in zip(e, exps)): c * v for e, v in self.terms.items()
-        }
-        return r
+        return _poly(self.nvars, _combine([(c, _shift(self.terms, exps))]))
 
     def diff(self, i: int) -> "MultiPoly":
-        out: dict[tuple, GaussianRational] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[i] = k - 1
-            out[tuple(ne)] = c * k
-        r = MultiPoly.__new__(MultiPoly)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+        down = tuple(-(k == i) for k in range(self.nvars))
+        return _poly(self.nvars, _combine(
+            (e[i], _shift({e: c}, down)) for e, c in self.terms.items() if e[i]
+        ))
 
     def evaluate(self, point: Iterable[GaussianRational]) -> GaussianRational:
         xs = list(point)
@@ -173,6 +136,44 @@ class MultiPoly:
                     v = v * xi**p
             acc = acc + v
         return acc
+
+
+
+def _poly(nvars: int, terms: dict) -> MultiPoly:
+    """A MultiPoly on terms that already have no zero entries, not copied."""
+    r = MultiPoly.__new__(MultiPoly)
+    r.nvars = nvars
+    r.terms = terms
+    return r
+
+
+# -- the kernel: sparse vectors on the monomial basis -------------------------
+
+
+def _apply(op, vec: dict) -> dict:
+    """The operator with columns op[e] applied to vec by linearity; no zero entries."""
+    out = {}
+    for e, c in vec.items():
+        for g, w in op[e].items():
+            s = out.get(g)
+            s = c * w if s is None else s + c * w
+            if s:
+                out[g] = s
+            else:
+                out.pop(g, None)
+    return out
+
+
+def _combine(pairs) -> dict:
+    """sum of c * v over (c, v) pairs: the vectors as the columns of an operator,
+    applied to the coefficients."""
+    pairs = list(pairs)
+    return _apply([v for _, v in pairs], {k: c for k, (c, _) in enumerate(pairs)})
+
+
+def _shift(vec: dict, s: tuple) -> dict:
+    """vec times the monomial x^s."""
+    return {tuple(a + b for a, b in zip(e, s)): c for e, c in vec.items()}
 
 
 def quadric(nvars: int) -> MultiPoly:

@@ -14,12 +14,17 @@ with B = sum x_i y_i/(z - mu_i), C = sum x_i^2/(z - mu_i) and
 A' = sum y_i^2/(z - mu_i); under the frame e_1 = y_z, e_2 = -x_z these are
 exactly the entries of Phi, and multiplied by p_D they are (b, c, a) of the
 Hecke triple up to the pinned signs (+b, -c, -a, -b) for (alpha, beta,
-gamma, delta).
+gamma, delta).  ``verify_equivalence`` therefore solves for nothing: it
+reads (alpha, beta, gamma, delta) = (Phi22, -Phi12, -Phi21, Phi11) off
+Phi(z) and checks both identities entry by entry.  When y is proportional
+to x (every x_i y_j - x_j y_i vanishes) A is zero and the frame dependent,
+so the samples of that point are skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .linalg import Matrix, rank_kernel
 from .phase import PhasePoint, Pencil
@@ -107,45 +112,37 @@ class EquivalenceReport:
 def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
     """Match A on the lifted frame with the Higgs field, exactly.
 
-    At each sample z, A(x_z) and A(y_z) are expressed in the basis
-    (x_z, y_z); under e_1 = y_z, e_2 = -x_z the coefficients must equal the
-    Phi entries, and multiplied by p_D(z) the Hecke polynomials.
+    At each sample z the coefficients of A in the basis (x_z, y_z) are read
+    off Phi(z): (alpha, beta, gamma, delta) = (Phi22, -Phi12, -Phi21, Phi11).
+    A(x_z) = alpha x_z + beta y_z and A(y_z) = gamma x_z + delta y_z must hold
+    entry by entry, and the coefficients multiplied by p_D(z) must equal the
+    Hecke polynomials (b, -c, -a, -b).  Every sample is skipped when y is
+    proportional to x, that is when every x_i y_j - x_j y_i vanishes: the
+    frame is then dependent.
     """
     from .higgs import HiggsField, hecke_transform
 
+    x, y = point.x, point.y
+    if all(_close(x[i] * y[j], x[j] * y[i]) for i, j in combinations(range(len(x)), 2)):
+        return EquivalenceReport(samples=tuple(
+            EquivalenceSample(z=z, coefficients=(), phi_entries=(), frame_match=True,
+                              hecke_match=True, skipped=True, note="y is proportional to x")
+            for z in z_samples
+        ))
     phi = HiggsField(point)
     triple = hecke_transform(point)
     pd = point.pencil.vanishing_poly()
     out = []
     for z in z_samples:
-        x_z = lift_vz(point.x, point, z)
-        y_z = lift_vz(point.y, point, z)
+        x_z = lift_vz(x, point, z)
+        y_z = lift_vz(y, point, z)
         A = build_A(point, z)
-        try:
-            alpha, beta = _express(A.matvec(x_z), x_z, y_z)
-            gamma, delta = _express(A.matvec(y_z), x_z, y_z)
-        except _DependentFrame:
-            out.append(
-                EquivalenceSample(
-                    z=z,
-                    coefficients=(),
-                    phi_entries=(),
-                    frame_match=True,
-                    hecke_match=True,
-                    skipped=True,
-                    note="x_z and y_z linearly dependent at this sample",
-                )
-            )
-            continue
         m = phi.at(z)
+        alpha, beta, gamma, delta = m[1][1], -m[0][1], -m[1][0], m[0][0]
         frame_ok = all(
-            _close(got, want)
-            for got, want in (
-                (delta, m[0][0]),  # Phi11 = -B
-                (-beta, m[0][1]),  # Phi12 = C
-                (-gamma, m[1][0]),  # Phi21 = -A'
-                (alpha, m[1][1]),  # Phi22 = B
-            )
+            _close(got, a * u + b * v)
+            for w, a, b in ((x_z, alpha, beta), (y_z, gamma, delta))
+            for got, u, v in zip(A.matvec(w), x_z, y_z)
         )
         pdz = pd(z)
         hecke_ok = all(
@@ -167,31 +164,6 @@ def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
             )
         )
     return EquivalenceReport(samples=tuple(out))
-
-
-class _DependentFrame(Exception):
-    pass
-
-
-def _express(w, u, v):
-    """Coefficients (a, b) with w = a u + b v, requiring u, v independent."""
-    n = len(u)
-    scale = 1.0 + max(abs(as_complex(t)) for vec in (w, u, v) for t in vec)
-    tried = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = u[i] * v[j] - u[j] * v[i]
-            if negligible(det, 1e-12 * scale, scale):
-                continue
-            a = (w[i] * v[j] - w[j] * v[i]) / det
-            b = (u[i] * w[j] - u[j] * w[i]) / det
-            size = 1.0 + abs(as_complex(a)) + abs(as_complex(b))
-            if all(negligible(w[k] - a * u[k] - b * v[k], 1e-9 * scale, size) for k in range(n)):
-                return a, b
-            tried = True
-    if tried:
-        raise ValueError("vector not in the span of the frame")
-    raise _DependentFrame
 
 
 def _close(got, want, mass: float = 0.0, tol: float = 1e-9) -> bool:

@@ -40,6 +40,8 @@ from .unipoly import Polynomial
 
 #: relative size below which a float coefficient of a Lagrange sum is dust
 FLOAT_TRIM = 1e-9
+#: sample_pencil_point draws mu_3..mu_N from the integers in [-MU_BOUND, MU_BOUND]
+MU_BOUND = 12
 
 
 class DegeneratePointError(ValueError):
@@ -257,9 +259,7 @@ def sample_isotropic_x(N: int, rng: random.Random) -> list[GaussianRational]:
             return x
 
 
-def sample_pencil_point(
-    N: int, seed: int, mu_bound: int = 12
-) -> tuple[Pencil, list[GaussianRational]]:
+def sample_pencil_point(N: int, seed: int) -> tuple[Pencil, list[GaussianRational]]:
     """Exact x plus a co-sampled rational pencil with both constraints exact.
 
     mu_3..mu_N are drawn as distinct small integers and (mu_1, mu_2) solve
@@ -274,7 +274,7 @@ def sample_pencil_point(
         det = s[0].re * s[1].im - s[1].re * s[0].im
         if det == 0:
             continue
-        tail = rng.sample(range(-mu_bound, mu_bound + 1), N - 2)
+        tail = rng.sample(range(-MU_BOUND, MU_BOUND + 1), N - 2)
         rhs_re = -sum((Fraction(m) * s[i + 2].re for i, m in enumerate(tail)), Fraction(0))
         rhs_im = -sum((Fraction(m) * s[i + 2].im for i, m in enumerate(tail)), Fraction(0))
         mu1 = (rhs_re * s[1].im - s[1].re * rhs_im) / det

@@ -273,7 +273,7 @@ class SovDualityReport:
     squares_span_dim: int
 
 
-def hamiltonians_via_sov(point: PhasePoint, tol: float = 1e-9) -> SovDualityReport:
+def hamiltonians_via_sov(point: PhasePoint) -> SovDualityReport:
     """The n separated Hamiltonians lambda_k^2 and their duality with h.
 
     Reconstructs h by interpolating -p_D(a_k) lambda_k^2 at the roots a_k and

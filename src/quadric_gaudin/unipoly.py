@@ -266,21 +266,19 @@ def _bareiss_determinant(rows: list[list]):
 
 
 def resultant(p: Polynomial, q: Polynomial):
-    """Sylvester-matrix resultant; res(p, p') = 0 iff p has a repeated root."""
+    """Sylvester-matrix resultant of exact polynomials; res(p, p') = 0 iff p has
+    a repeated root.  Float input raises ValueError, as ``classify`` does."""
     if p.is_zero() or q.is_zero():
         raise ValueError("undefined resultant: zero polynomial input")
+    if not (p.exact and q.exact):
+        raise ValueError("resultant requires exact coefficients")
     if p.degree == 0 and q.degree == 0:
         return one_like(p.lead())
     if p.degree == 0:
         return p.coeffs[0] ** q.degree
     if q.degree == 0:
         return q.coeffs[0] ** p.degree
-    rows = sylvester_matrix(p, q)
-    if p.exact:
-        return _bareiss_determinant(rows)
-    import numpy as np
-
-    return complex(np.linalg.det(np.array(rows, dtype=complex)))
+    return _bareiss_determinant(sylvester_matrix(p, q))
 
 
 # -- root finding (float) ------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -515,3 +516,96 @@ def test_classify_accepts_accurate_roots_of_large_factors(capsys, n, seed):
     assert code == EXIT_OK, err
     (line,) = out.strip().splitlines()
     assert json.loads(line)["verdict"] in ("very_stable", "wobbly", "degenerate")
+
+
+def _lines(out):
+    return [json.loads(l) for l in out.strip().splitlines()]
+
+
+def _failed_verify(code, out, name):
+    """verify exited 2 and names the failing check in its summary."""
+    lines = _lines(out)
+    assert code == EXIT_VERIFICATION
+    assert lines[-1]["summary"] == "failed"
+    failing = [d for d in lines if d.get("check") == name]
+    assert failing and not all(d["pass"] for d in failing)
+    return lines
+
+
+def test_verify_reports_a_failing_trace_squared_identity(capsys, monkeypatch):
+    from quadric_gaudin.higgs import HiggsField
+
+    trace_squared_at = HiggsField.trace_squared_at
+    monkeypatch.setattr(HiggsField, "trace_squared_at", lambda self, z: trace_squared_at(self, z) + 1)
+    code, out, _ = run(capsys, "verify", "--n", "5", "--trials", "1", "--seed", "3", "--skip-operators")
+    lines = _failed_verify(code, out, "trace-squared-identity")
+    assert lines[-1]["failures"] == ["trace-squared-identity (trial 0): "]
+
+
+def test_verify_reports_operator_suite_failures_as_trial_minus_one(capsys, monkeypatch):
+    from quadric_gaudin import diffops
+
+    cleared = diffops._cleared
+
+    def flipped(pencil):
+        # Delta_0 gets a wrong weight on Omega_01
+        weights, mu, scales = cleared(pencil)
+        weights[0][1] = -weights[0][1]
+        return weights, mu, scales
+
+    monkeypatch.setattr(diffops, "_cleared", flipped)
+    code, out, _ = run(capsys, "verify", "--n", "5", "--trials", "1", "--seed", "3")
+    lines = _failed_verify(code, out, "[Delta_i, Delta_j] = 0")
+    assert all(d["pass"] for d in lines if d.get("trial") == 0)
+    assert any(f.startswith("[Delta_i, Delta_j] = 0 (trial -1): [Delta0,Delta") for f in lines[-1]["failures"])
+
+
+def _faulty_A(monkeypatch):
+    """Plant a wrong entry in A(z), where the orthomodel checks and the CLI build it."""
+    from quadric_gaudin import cli, orthomodel
+    from quadric_gaudin.linalg import Matrix
+
+    build_A = orthomodel.build_A
+
+    def faulty(point, z):
+        rows = [list(r) for r in build_A(point, z).rows]
+        rows[0][1] = rows[0][1] + 1
+        return Matrix(rows)
+
+    monkeypatch.setattr(orthomodel, "build_A", faulty)
+    monkeypatch.setattr(cli, "build_A", faulty)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_faulty_A_is_a_verification_failure(capsys, monkeypatch, mode):
+    # A(x_z) then leaves the span of the frame; that is a failed identity
+    # (exit 2), not a usage error (exit 64)
+    _faulty_A(monkeypatch)
+    code, out, err = run(capsys, "verify", "--n", "5", "--trials", "1", "--seed", "3",
+                         "--skip-operators", "--mode", mode)
+    assert err == ""
+    _failed_verify(code, out, "orthomodel")
+    code, out, err = run(capsys, "orthomodel-verify", "--n", "5", "--trials", "2", "--seed", "6",
+                         "--mode", mode)
+    assert code == EXIT_VERIFICATION and err == ""
+    lines = _lines(out)
+    assert [d["phi_equivalence"] for d in lines[:-1]] == [False, False]
+    assert lines[-1] == {"summary": "failed"}
+
+
+def test_orthomodel_verify_fails_when_only_the_last_trial_fails(capsys, monkeypatch):
+    from quadric_gaudin import cli
+
+    probe, calls = cli.trivial_subbundle_probe, []
+
+    def second_fails(pt):
+        calls.append(pt)
+        rep = probe(pt)
+        return replace(rep, both_vanish=False) if len(calls) == 2 else rep
+
+    monkeypatch.setattr(cli, "trivial_subbundle_probe", second_fails)
+    code, out, _ = run(capsys, "orthomodel-verify", "--n", "5", "--trials", "2", "--seed", "6")
+    assert code == EXIT_VERIFICATION
+    lines = _lines(out)
+    assert [d["subbundle_probe"] for d in lines[:-1]] == [True, False]
+    assert lines[-1] == {"summary": "failed"}

@@ -86,6 +86,17 @@ def test_resultant_rejects_zero():
         resultant(Polynomial.zero(), Polynomial([gr(1), gr(1)]))
 
 
+@pytest.mark.parametrize("p, q", [
+    (Polynomial([-1.0 + 0j, 0j, 1.0 + 0j]), Polynomial([0j, 2.0 + 0j])),
+    (Polynomial([gr(-1), gr(0), gr(1)]), Polynomial([0j, 2.0 + 0j])),
+    (Polynomial([2.0 + 0j]), Polynomial([gr(-1), gr(1)])),
+])
+def test_resultant_rejects_float_polynomials(p, q):
+    # floats never decide whether two polynomials share a root
+    with pytest.raises(ValueError, match="exact"):
+        resultant(p, q)
+
+
 def test_resultant_gcd_property():
     rng = random.Random(11)
     degenerate = 0
