@@ -15,9 +15,10 @@ is linear in y and f_k = lambda_k^2 recovers the Hamiltonian data:
 h(a_k) = -p_D(a_k) lambda_k^2 exactly (pinned constant -1, a consequence of
 b^2 + ac = -p_D h).
 
-Root-dependent rank statements run at float precision with conditioning
-guards; multiplicity decisions are never made from float roots (the
-classifier uses exact resultants instead).
+At an exact point each root of a squarefree factor of p is one point of the
+factor's multiplicity, and its float value only labels it; only a float
+point's roots are grouped, by ``clustered_roots``.  Root-dependent rank
+statements run at float precision with conditioning guards.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ import numpy as np
 from .linalg import Matrix, rank_kernel
 from .phase import PhasePoint, Pencil
 from .scalars import as_complex, close, dot, is_exact, negligible, total
-from .unipoly import (
-    DEFAULT_ROOT_TOL,
-    Polynomial,
-    RootFindingError,
-    clustered_roots,
-    squarefree_factorization,
-)
+from .unipoly import Polynomial, clustered_roots, roots, squarefree_factorization
 
 class RootAtMarkedPointError(ValueError):
     """A separation root collides with a marked point: apply dimension reduction."""
@@ -126,30 +121,20 @@ def _check_off_marked(a, mu) -> None:
             )
 
 
-def exact_divisor(p: Polynomial, n: int, tol: float = DEFAULT_ROOT_TOL, factors=None):
+def exact_divisor(p: Polynomial, n: int, factors=None):
     """Finite roots (float positions, exact multiplicities) and inf multiplicity.
 
     Multiplicities come from the exact squarefree factorization (``factors``
-    when the caller already has it); the float roots of each factor only
-    locate them.  Raises RootFindingError when they cannot tell the roots of
-    a squarefree factor apart, so the multiplicities always sum to deg p.
+    when the caller already has it).  A squarefree factor has simple roots,
+    so each float root of a factor of multiplicity k is one point of
+    multiplicity k, however close it lies to another: the floats only label
+    the points, and the multiplicities always sum to deg p.
     """
     if p.is_zero():
         raise ValueError("zero auxiliary polynomial")
     if factors is None:
         factors = squarefree_factorization(p)
-    finite = [
-        (r, k)
-        for factor, k in factors
-        for r, _ in clustered_roots(factor.to_float(), tol)
-    ]
-    # a squarefree factor has simple roots: a float cluster of several merges
-    # distinct roots, and the multiplicities then fall short of deg p
-    if sum(k for _, k in finite) != p.degree:
-        raise RootFindingError(
-            "float roots cannot separate the roots of a squarefree factor",
-            [r for r, _ in finite],
-        )
+    finite = [(r, k) for factor, k in factors for r in roots(factor.to_float())]
     finite.sort(key=lambda t: (t[0].real, t[0].imag))
     return tuple(finite), n - p.degree
 
@@ -157,13 +142,13 @@ def exact_divisor(p: Polynomial, n: int, tol: float = DEFAULT_ROOT_TOL, factors=
 def separate(point: PhasePoint, tol: float = 1e-8) -> SeparatedData:
     """Full separation data for a constrained point.
 
-    Root multiplicities come from the exact squarefree factorization when the
-    point is exact; float clustering is descriptive only.
+    Root multiplicities come from ``exact_divisor`` when the point is exact;
+    only a float point's roots are grouped, by ``clustered_roots`` with tol.
     """
     pencil = point.pencil
     p = auxiliary_poly(point.x, pencil)
     if point.exact:
-        finite, inf_mult = exact_divisor(p, pencil.n, tol)
+        finite, inf_mult = exact_divisor(p, pencil.n)
     elif p.is_zero():
         raise ValueError("zero auxiliary polynomial")
     else:

@@ -301,7 +301,8 @@ def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
 def _aberth(coeffs: list[complex], tol: float, max_iter: int = 400) -> list[complex]:
     n = len(coeffs) - 1
     lead = coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
+    # Fujiwara's bound on |root|: a wider start circle can overflow Horner's rule
+    radius = 2 * max(abs(coeffs[n - k] / lead) ** (1 / k) for k in range(1, n + 1))
     zs = [
         radius * cmath.exp(2j * math.pi * (k + 0.25) / n) * (0.9 + 0.05 * (k % 3))
         for k in range(n)
@@ -324,11 +325,9 @@ def _aberth(coeffs: list[complex], tol: float, max_iter: int = 400) -> list[comp
             moved = max(moved, abs(step) / (1.0 + abs(zs[k])))
         if moved < 1e-15:
             break
-    else:
-        if any(abs(p(z)) > tol * p.mass(z) for z in zs):
-            raise RootFindingError(
-                f"root iteration did not converge within {max_iter} steps", zs
-            )
+    # checked on every exit: a non-finite iterate is never returned as a root
+    if not all(cmath.isfinite(z) and abs(p(z)) <= tol * p.mass(z) for z in zs):
+        raise RootFindingError("root iteration left a residual above tol or a non-finite root", zs)
     return zs
 
 
@@ -348,12 +347,13 @@ def _cluster(roots: list[complex], tol: float) -> list[list[complex]]:
 def roots(
     p: Polynomial, tol: float = DEFAULT_ROOT_TOL, max_iter: int = 400
 ) -> list[complex]:
-    """All deg(p) roots with multiplicity, clustered by tol.
+    """All deg(p) roots with multiplicity, unclustered, in the finder's order.
 
-    An iteration that runs out of steps keeps its roots when each residual
-    |p(root)| is at most tol * p.mass(root), the Horner mass that bounds the
-    rounding error of evaluating p there, and otherwise raises
-    RootFindingError with the best iterate.
+    Degrees 1 and 2 are solved in closed form; higher degrees by Aberth's
+    iteration, whose roots are kept only when each residual |p(root)| is at
+    most tol * p.mass(root), the Horner mass that bounds the rounding error
+    of evaluating p there.  Otherwise, a non-finite iterate included, it
+    raises RootFindingError with the best iterate.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined roots")
@@ -364,28 +364,20 @@ def roots(
     if n == 0:
         return []
     if n == 1:
-        raw = [-cs[0] / cs[1]]
-    elif n == 2:
-        raw = _quadratic_roots(cs[0], cs[1], cs[2])
-    else:
-        raw = _aberth(cs, tol, max_iter)
-    out: list[complex] = []
-    for group in _cluster(raw, tol):
-        center = sum(group) / len(group)
-        out.extend([center] * len(group))
-    return out
+        return [-cs[0] / cs[1]]
+    if n == 2:
+        return _quadratic_roots(cs[0], cs[1], cs[2])
+    return _aberth(cs, tol, max_iter)
 
 
 def clustered_roots(p: Polynomial, tol: float = DEFAULT_ROOT_TOL) -> list[tuple[complex, int]]:
-    """Distinct roots with multiplicities, deterministic ordering."""
-    rs = roots(p, tol)
-    out: list[tuple[complex, int]] = []
-    for r in rs:
-        if out and out[-1][0] == r:
-            out[-1] = (r, out[-1][1] + 1)
-        else:
-            out.append((r, 1))
-    return out
+    """Distinct float roots with multiplicities, grouped by tol, in sorted order.
+
+    Each group is reported at its mean.  This is the one place roots are
+    grouped, and only float polynomials need it: an exact polynomial takes
+    its multiplicities from its squarefree factorization instead.
+    """
+    return [(sum(g) / len(g), len(g)) for g in _cluster(roots(p, tol), tol)]
 
 
 def lagrange_interpolate(nodes: Sequence, values: Sequence) -> Polynomial:

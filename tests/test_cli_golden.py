@@ -25,7 +25,7 @@ GOLDEN = [
     ("verify --n 5 --trials 1 --seed 3 --skip-operators --inject-fault delta-sign", 2, "4d2f92836a293df0425d6198f455839352657386691b9722cdf2b2c380332407"),
     ("verify --n 5 --trials 1 --seed 0", 0, "c4940d190aab66b2c116339aeab1c52676bd62aa89b935a2f498e483d9f1c7b7"),
     ("classify --n 5 --trials 6 --seed 11", 0, "a0bc7e1fc5b9090d6fd15cfea4e52daa37efbb1b4cb56ff52677926575ebe155"),
-    ("classify --n 7 --trials 3 --seed 2", 0, "a1ede96dfc97206bbb2d1454be824bd34f883f93e3aa938b8a26184469c7fea6"),
+    ("classify --n 7 --trials 3 --seed 2", 0, "fadcf52cdfb3eb66ed6efb3a60773d40192f017cd1c7d9b9fe95df8f077e8d2a"),
     ("diffops-verify --n 5", 0, "5f79df90fe01c74402c5543a72afdf4f032143b26e1fc726b250a4e601164954"),
     ("orthomodel-verify --n 5 --trials 2 --seed 6", 0, "107895a7cccea30f9823c202559cf8418060047bd6b782ec448f7410768ac60e"),
     ("orthomodel-verify --n 6 --trials 2 --seed 6 --mode float", 0, "2122baa7022db0515b76f23cd2b24eafdbb9c8b4d462ae16aefd60ac5603e770"),

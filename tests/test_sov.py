@@ -189,18 +189,19 @@ def test_h_reconstruction_from_root_values_is_unique(fix_c):
         )
 
 
-def test_exact_divisor_refuses_to_merge_close_simple_roots():
+def test_exact_divisor_keeps_close_simple_roots_apart():
     from fractions import Fraction
 
     from quadric_gaudin.sov import exact_divisor
-    from quadric_gaudin.unipoly import RootFindingError
 
-    # (z - 1)(z - 1 - 10^-12) is squarefree: its two roots are simple, but
-    # their float images fall in one cluster
+    # (z - 1)(z - 1 - 10^-12) is squarefree: its two roots are simple, so they
+    # stay two points of multiplicity 1 although their floats nearly coincide
     eps = Fraction(1, 10**12)
     p = Polynomial([gr(-1), gr(1)]) * Polynomial([gr(-1 - eps), gr(1)])
-    with pytest.raises(RootFindingError):
-        exact_divisor(p, 3)
+    finite, inf_mult = exact_divisor(p, 3)
+    assert [m for _, m in finite] == [1, 1] and inf_mult == 1
+    assert sum(m for _, m in finite) == p.degree
+    assert all(abs(r - 1) < 1e-9 for r, _ in finite)
     # a genuine double root keeps its multiplicity, and they sum to deg p
     q = Polynomial([gr(-1), gr(1)]) * Polynomial([gr(-1), gr(1)]) * Polynomial([gr(-3), gr(1)])
     finite, inf_mult = exact_divisor(q, 4)

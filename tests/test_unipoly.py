@@ -167,6 +167,36 @@ def test_roots_reconstruction_well_conditioned():
             assert abs(rebuilt.coeff(k) - p.coeff(k)) <= 1e-8 * max(1.0, p.coeff_scale())
 
 
+def test_roots_of_large_modulus_are_finite():
+    # z^21 - 10^21: the old start radius 1 + 10^21 overflowed Horner's rule
+    # and every root came back NaN; Fujiwara's bound starts at radius 20
+    p = Polynomial([-1e21 + 0j] + [0j] * 20 + [1.0 + 0j])
+    rs = roots(p)
+    assert len(rs) == 21
+    assert all(abs(abs(r) - 10) <= 1e-12 * 10 for r in rs)
+    assert len(clustered_roots(p)) == 21
+
+
+def test_roots_of_n24_auxiliary_polynomials_are_finite():
+    # the squarefree auxiliary polynomials behind classify --n 24 --seed 0, 1
+    from quadric_gaudin.phase import sample_pencil_point
+    from quadric_gaudin.sov import auxiliary_poly
+
+    for seed in (0, 1):
+        pencil, x = sample_pencil_point(24, seed)
+        p = auxiliary_poly(x, pencil).monic().to_float()
+        rs = roots(p)
+        assert len(rs) == p.degree == 21
+        assert all(abs(p(r)) <= 1e-8 * p.mass(r) for r in rs)
+
+
+def test_roots_nonfinite_iterate_is_a_root_finding_error():
+    # a coefficient ratio that overflows makes the start radius infinite
+    p = Polynomial([1e300 + 0j, 0j, 0j, 1e-300 + 0j])
+    with pytest.raises(RootFindingError):
+        roots(p)
+
+
 def test_roots_nonconvergence_carries_best_iterate():
     p = Polynomial.from_roots([complex(k % 3, k // 3) for k in range(9)])
     with pytest.raises(RootFindingError) as exc:

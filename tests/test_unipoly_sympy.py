@@ -1,7 +1,9 @@
 """Differential tests of the exact polynomial machinery against sympy over Q(i).
 
 Each case plants repeated factors, so the gcds and squarefree parts are
-nontrivial.  sympy is a test-only oracle; the package never imports it.
+nontrivial.  The float labels ``classify`` gives the exact divisor's points
+are checked against ``Poly.nroots`` of their own squarefree factor.  sympy is
+a test-only oracle; the package never imports it.
 The resultant oracle is the norm formula, not ``Poly.resultant``: sympy 1.14
 returns -res(p, q) for some pairs with deg p * deg q odd (p = 3z^3 + 2z^2 + 4,
 deg q = 7, for one), where the Sylvester determinant and the product of q
@@ -16,6 +18,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from quadric_gaudin.phase import sample_pencil_point  # noqa: E402
 from quadric_gaudin.scalars import gr  # noqa: E402
 from quadric_gaudin.unipoly import (  # noqa: E402
     Polynomial,
@@ -23,6 +26,7 @@ from quadric_gaudin.unipoly import (  # noqa: E402
     resultant,
     squarefree_factorization,
 )
+from quadric_gaudin.verystable import classify  # noqa: E402
 
 Z = sympy.symbols("z")
 
@@ -106,3 +110,14 @@ def test_resultant_matches_sympy(seed):
         if a.degree < 1 or b.degree < 1:
             continue
         assert resultant(a, b) == norm_resultant(a, b)
+
+
+@pytest.mark.parametrize("N", range(6, 13))
+def test_classify_labels_match_sympy_nroots(N):
+    # every label lies on a root of the squarefree factor of its multiplicity
+    for seed in range(3):
+        pencil, x = sample_pencil_point(N, seed)
+        verdict = classify(x, pencil)
+        want = {k: [complex(w) for w in to_sympy(f).nroots(n=30)] for f, k in verdict.factors}
+        for r, k in verdict.finite_roots:
+            assert min(abs(r - w) for w in want[k]) <= 1e-12 * (1 + abs(r))
