@@ -23,21 +23,16 @@ from .diffops import (
     verify_kohno_drinfeld,
     verify_symbol_pairing,
 )
-from .higgs import (
-    build_phi,
-    hamiltonians,
-    hecke_transform,
-    off_pole_samples,
-    reduced_tr_phi_squared,
-)
+from .higgs import build_phi, off_pole_samples, reduced_tr_phi_squared
 from .orthomodel import (
     build_A,
+    phi_equivalence,
     rank_and_kernel_of_A,
     skew_adjoint_defect,
     trivial_subbundle_probe,
     verify_equivalence,
 )
-from .scalars import as_complex, gr, negligible, total
+from .scalars import NonFiniteError, as_complex, gr, negligible, total
 from .phase import (
     Pencil,
     PhasePoint,
@@ -207,7 +202,8 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
     else:
         results.append(("poisson-bracket", True, ""))
 
-    f = hamiltonians(pt)
+    rq = reduced_tr_phi_squared(pt, check_samples=False)
+    f = rq.f
     mu = pt.pencil.mu
     mom = [
         total(f),
@@ -216,8 +212,9 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
     ]
     results.append(("hamiltonian-moments", all(negligible(v, tol) for v in mom), ""))
 
-    triple = hecke_transform(pt)
-    rq = reduced_tr_phi_squared(pt, check_samples=False)
+    # one field per point: phi_equivalence below reuses its Hecke triple and Phi(z)
+    phi = build_phi(pt)
+    triple = phi.hecke
     pd = pt.pencil.vanishing_poly()
     spectral = triple.spectral()
     iden = spectral + pd * rq.h
@@ -238,7 +235,6 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
     )
     results.append(("hecke-identity", hecke_ok and degs_ok, ""))
 
-    phi = build_phi(pt)
     zs = off_pole_samples(pt.pencil, 2)
     tr_ok = True
     for z in zs:
@@ -265,7 +261,7 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
     skew_ok = all(negligible(v, tol) for row in defect.rows for v in row)
     rank, _ = rank_and_kernel_of_A(pt, z, tol=tol)
     probe = trivial_subbundle_probe(pt)
-    eq = verify_equivalence(pt, zs)
+    eq = phi_equivalence(phi, zs)
     results.append(
         ("orthomodel", skew_ok and rank <= 2 and probe.both_vanish and eq.passed, "")
     )
@@ -448,12 +444,13 @@ def main(argv=None) -> int:
             args.n = 5
         # looked up at call time, so a replaced cmd_* is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
+    # NonFiniteError is a ValueError, so it must be caught first
+    except (RootFindingError, AssertionError, NonFiniteError) as e:
+        sys.stderr.write(dumps({"error": "internal", "type": type(e).__name__, "detail": str(e)}) + "\n")
+        return EXIT_INTERNAL
     except (_UsageError, ValueError, OSError) as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
-    except (RootFindingError, AssertionError) as e:
-        sys.stderr.write(dumps({"error": "internal", "type": type(e).__name__, "detail": str(e)}) + "\n")
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

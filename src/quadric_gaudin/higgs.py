@@ -22,7 +22,7 @@ Pinned normalizations (each certified exactly by the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .phase import PhasePoint, Pencil
 from .scalars import as_complex, close, gr, total
@@ -71,20 +71,29 @@ class HiggsField:
     def __init__(self, point: PhasePoint):
         self.point = point
         self.pencil = point.pencil
+        self._at = {}  # Phi(z) by z, for this field only
+
+    @cached_property
+    def hecke(self) -> "HeckeTriple":
+        """hecke_transform(point), computed once per field."""
+        return hecke_transform(self.point)
 
     def residue(self, i: int) -> Mat2:
         x, y = self.point.x[i], self.point.y[i]
         return ((-x * y, x * x), (-y * y, x * y))
 
     def at(self, z) -> Mat2:
-        mu = self.pencil.mu
-        for i, m in enumerate(mu):
-            if z == m:
-                raise PoleEvaluationError(i)
-        return reduce(
-            mat_add,
-            (mat_scale(1 / (z - mu[i]), self.residue(i)) for i in range(self.pencil.N)),
-        )
+        """Phi(z), computed once per z and field."""
+        if z not in self._at:
+            mu = self.pencil.mu
+            for i, m in enumerate(mu):
+                if z == m:
+                    raise PoleEvaluationError(i)
+            self._at[z] = reduce(
+                mat_add,
+                (mat_scale(1 / (z - mu[i]), self.residue(i)) for i in range(self.pencil.N)),
+            )
+        return self._at[z]
 
     def trace_squared_at(self, z):
         m = self.at(z)
@@ -97,14 +106,10 @@ def build_phi(point: PhasePoint) -> HiggsField:
 
 def hamiltonians(point: PhasePoint) -> list:
     """f_i = sum_{j != i} (x_i y_j - x_j y_i)^2 / (mu_i - mu_j); gauge invariant."""
-    mu, x, y = point.pencil.mu, point.x, point.y
+    mu, w = point.pencil.mu, point.pair_invariants
     N = point.pencil.N
-
-    def term(i, j):
-        w = x[i] * y[j] - x[j] * y[i]
-        return (w * w) / (mu[i] - mu[j])
-
-    return [total(term(i, j) for j in range(N) if j != i) for i in range(N)]
+    return [total((w[i][j] * w[i][j]) / (mu[i] - mu[j]) for j in range(N) if j != i)
+            for i in range(N)]
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,10 @@ def _check_off_poles(pencil: Pencil, z):
 def build_A(point: PhasePoint, z) -> Matrix:
     """A_ij = (x_i y_j - y_i x_j) / (z - mu_i) at z off the marked points."""
     _check_off_poles(point.pencil, z)
-    x, y, mu = point.x, point.y, point.pencil.mu
-    N = point.pencil.N
     rows = []
-    for i in range(N):
-        inv = 1 / (z - mu[i])
-        rows.append([(x[i] * y[j] - y[i] * x[j]) * inv for j in range(N)])
+    for w, m in zip(point.pair_invariants, point.pencil.mu):
+        inv = 1 / (z - m)
+        rows.append([v * inv for v in w])
     return Matrix(rows)
 
 
@@ -110,7 +108,15 @@ class EquivalenceReport:
 
 
 def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
-    """Match A on the lifted frame with the Higgs field, exactly.
+    """:func:`phi_equivalence` on a new Higgs field of point; the Hecke triple
+    and the Phi(z) values it caches are freed with it."""
+    from .higgs import build_phi
+
+    return phi_equivalence(build_phi(point), z_samples)
+
+
+def phi_equivalence(phi, z_samples) -> EquivalenceReport:
+    """Match A on the lifted frame with the Higgs field phi, exactly.
 
     At each sample z the coefficients of A in the basis (x_z, y_z) are read
     off Phi(z): (alpha, beta, gamma, delta) = (Phi22, -Phi12, -Phi21, Phi11).
@@ -118,10 +124,11 @@ def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
     entry by entry, and the coefficients multiplied by p_D(z) must equal the
     Hecke polynomials (b, -c, -a, -b).  Every sample is skipped when y is
     proportional to x, that is when every x_i y_j - x_j y_i vanishes: the
-    frame is then dependent.
+    frame is then dependent.  The Hecke triple and each Phi(z) are read from
+    phi's caches, which depend only on the point's tuples x and y, so the
+    ``verify`` command shares one field with its Hecke and trace checks.
     """
-    from .higgs import HiggsField, hecke_transform
-
+    point = phi.point
     x, y = point.x, point.y
     if all(_close(x[i] * y[j], x[j] * y[i]) for i, j in combinations(range(len(x)), 2)):
         return EquivalenceReport(samples=tuple(
@@ -129,8 +136,7 @@ def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
                               hecke_match=True, skipped=True, note="y is proportional to x")
             for z in z_samples
         ))
-    phi = HiggsField(point)
-    triple = hecke_transform(point)
+    triple = phi.hecke
     pd = point.pencil.vanishing_poly()
     out = []
     for z in z_samples:

@@ -33,7 +33,7 @@ import random
 from fractions import Fraction
 
 from .scalars import (
-    GaussianRational, ZERO, ONE, I, as_complex, dot, gr, is_exact, negligible, total,
+    GaussianRational, ZERO, ONE, I, as_complex, dot, gr, is_exact, negligible, total, zero_like,
 )
 from .unipoly import Polynomial
 
@@ -125,7 +125,10 @@ class Pencil:
 
 
 class PhasePoint:
-    """A constrained pair (x, y) over a pencil, exact or float."""
+    """A constrained pair (x, y) over a pencil, exact or float.  x and y are
+    tuples, so ``pair_invariants`` and ``bracket_grads``, derived from them
+    alone, are cached on the instance: a gauge-shifted point is a new
+    instance with caches of its own."""
 
     def __init__(self, pencil: Pencil, x, y, check: bool = True, tol: float = 1e-9):
         self.pencil = pencil
@@ -167,6 +170,21 @@ class PhasePoint:
         if not all(negligible(r, tol, scale) for r in res):
             raise ValueError(f"constraints violated: {res}")
 
+    @functools.cached_property
+    def pair_invariants(self) -> tuple:
+        """w[i][j] = x_i y_j - x_j y_i, once per unordered pair: w[j][i] = -w[i][j]."""
+        x, y = self.x, self.y
+        w = [[zero_like(x[0])] * len(x) for _ in x]
+        for i, j in itertools.combinations(range(len(x)), 2):
+            v = x[i] * y[j] - x[j] * y[i]
+            w[i][j], w[j][i] = v, -v
+        return tuple(map(tuple, w))
+
+    @functools.cached_property
+    def bracket_grads(self) -> tuple:
+        """(d f_i/dx, d f_i/dy) for every i, one ``_bracket_grads`` call each."""
+        return tuple(_bracket_grads(self, i) for i in range(self.pencil.N))
+
     def to_float(self) -> "PhasePoint":
         return PhasePoint(
             self.pencil.to_float(),
@@ -183,7 +201,7 @@ class PhasePoint:
 
 def pair_invariant(p: PhasePoint, i: int, j: int):
     """<v_i, v_j> = x_i y_j - x_j y_i (0-based indices); gauge invariant."""
-    return p.x[i] * p.y[j] - p.x[j] * p.y[i]
+    return p.pair_invariants[i][j]
 
 
 def gauge_shift(p: PhasePoint, t) -> PhasePoint:
@@ -195,25 +213,10 @@ def gauge_shift(p: PhasePoint, t) -> PhasePoint:
 
 def _bracket_grads(p: PhasePoint, i: int):
     """(d f_i/dx, d f_i/dy) at p, in closed form through the pair invariants."""
-    mu, x, y = p.pencil.mu, p.x, p.y
-    N = p.pencil.N
-    gx = [None] * N
-    gy = [None] * N
-    sx = None
-    sy = None
-    for j in range(N):
-        if j == i:
-            continue
-        w = x[i] * y[j] - x[j] * y[i]
-        c = (w + w) / (mu[i] - mu[j])
-        gx[j] = -c * y[i]
-        gy[j] = c * x[i]
-        tx = c * y[j]
-        ty = c * x[j]
-        sx = tx if sx is None else sx + tx
-        sy = ty if sy is None else sy + ty
-    gx[i] = sx
-    gy[i] = -sy
+    mu, x, y, w = p.pencil.mu, p.x, p.y, p.pair_invariants[i]
+    c = {j: (w[j] + w[j]) / (mu[i] - mu[j]) for j in range(p.pencil.N) if j != i}
+    gx = [total(c[j] * y[j] for j in c) if k == i else -c[k] * y[i] for k in range(p.pencil.N)]
+    gy = [-total(c[j] * x[j] for j in c) if k == i else c[k] * x[i] for k in range(p.pencil.N)]
     return gx, gy
 
 
@@ -221,18 +224,20 @@ def poisson_bracket(p: PhasePoint, a: int, b: int):
     """{f_a, f_b} at p for the canonical bracket {x_k, y_l} = delta_kl.
 
     Uses the closed-form gradients of f_i = sum_{j != i} w_ij^2/(mu_i-mu_j)
-    through the pair invariants w_ij = x_i y_j - x_j y_i.
+    through the pair invariants w_ij = x_i y_j - x_j y_i.  Both are cached on
+    p (``PhasePoint.bracket_grads``), so the C(N, 2) brackets of a point
+    build its N gradients once and each bracket is one dot product.
     """
-    ax, ay = _bracket_grads(p, a)
-    bx, by = _bracket_grads(p, b)
+    ax, ay = p.bracket_grads[a]
+    bx, by = p.bracket_grads[b]
     return total(ax[k] * by[k] - ay[k] * bx[k] for k in range(p.pencil.N))
 
 
 def bracket_mass(p: PhasePoint, a: int, b: int) -> float:
     """sum_k |d_x f_a||d_y f_b| + |d_y f_a||d_x f_b| in float: the size of the
     terms of {f_a, f_b} before they cancel, the scale of its rounding error."""
-    ax, ay = _bracket_grads(p, a)
-    bx, by = _bracket_grads(p, b)
+    ax, ay = p.bracket_grads[a]
+    bx, by = p.bracket_grads[b]
     return sum(
         abs(as_complex(ax[k])) * abs(as_complex(by[k]))
         + abs(as_complex(ay[k])) * abs(as_complex(bx[k]))

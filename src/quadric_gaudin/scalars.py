@@ -331,10 +331,14 @@ def parse_scalar(s: str) -> GaussianRational:
 
 # -- float-complex helpers -------------------------------------------------
 
+class NonFiniteError(ValueError):
+    """A float scalar is NaN or infinite: a computation broke down, not its input."""
+
+
 def ensure_finite(z: complex) -> complex:
     """Reject NaN/inf on construction of float scalars."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite float scalar {z!r}")
+        raise NonFiniteError(f"non-finite float scalar {z!r}")
     return complex(z)
 
 

@@ -3,6 +3,7 @@ polynomials as ascending coefficient arrays."""
 
 from __future__ import annotations
 
+import cmath
 import json
 
 from .phase import Pencil, PhasePoint
@@ -18,10 +19,12 @@ def scalar_to_json(v):
 
 
 def scalar_from_json(v):
+    """An exact string or a finite [re, im] pair; anything else is a usage error."""
     if isinstance(v, str):
         return parse_scalar(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(type(c) in (int, float) for c in v):
+        if cmath.isfinite(z := complex(v[0], v[1])):
+            return z
     raise ValueError(f"malformed scalar {v!r}")
 
 

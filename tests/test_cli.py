@@ -609,3 +609,62 @@ def test_orthomodel_verify_fails_when_only_the_last_trial_fails(capsys, monkeypa
     lines = _lines(out)
     assert [d["subbundle_probe"] for d in lines[:-1]] == [True, False]
     assert lines[-1] == {"summary": "failed"}
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Count calls of module.name through every reference the package holds."""
+    import sys
+
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "quadric_gaudin":
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, counted)
+
+
+def test_verify_computes_each_points_derived_data_once(capsys, monkeypatch):
+    # N gradient pairs per point, not one per bracket operand (2 * C(N, 2)),
+    # and one Hamiltonian vector and one Hecke triple per point
+    from collections import Counter
+
+    from quadric_gaudin import higgs, phase
+
+    calls = Counter()
+    _count_calls(monkeypatch, phase, "_bracket_grads", calls)
+    _count_calls(monkeypatch, higgs, "hamiltonians", calls)
+    _count_calls(monkeypatch, higgs, "hecke_transform", calls)
+    code, out, _ = run(capsys, "verify", "--n", "6", "--trials", "2", "--seed", "3", "--skip-operators")
+    assert code == EXIT_OK
+    assert calls == {"_bracket_grads": 12, "hamiltonians": 2, "hecke_transform": 2}
+
+
+def test_internal_non_finite_float_exits_70(capsys, monkeypatch):
+    # a NaN computed inside the program is an internal failure, not a usage error
+    from quadric_gaudin.higgs import HiggsField
+
+    monkeypatch.setattr(HiggsField, "trace_squared_at", lambda self, z: complex("nan"))
+    code, out, err = run(capsys, "verify", "--mode", "float", "--n", "5", "--trials", "1",
+                         "--skip-operators")
+    assert code == EXIT_INTERNAL and out == ""
+    (line,) = err.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "internal" and doc["type"] == "NonFiniteError"
+    assert "non-finite" in doc["detail"]
+
+
+@pytest.mark.parametrize("entry", [[float("nan"), 0.0], ["nan", 0.0], [1.0, float("inf")]],
+                         ids=["NaN", "nan-string", "inf"])
+def test_non_finite_entry_in_point_document_is_usage_error(tmp_path, capsys, fix_c, entry):
+    doc = point_to_json(fix_c.to_float())
+    doc["x"][0] = entry
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity literals
+    code, out, err = run(capsys, "orthomodel-verify", "--point", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error:") and "malformed scalar" in err

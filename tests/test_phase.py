@@ -178,3 +178,39 @@ def test_sample_phase_point_constraints():
             pt = sample_phase_point(n, seed)
             assert pt.exact
             assert all(r.is_zero() for r in pt.constraint_residuals())
+
+
+def _to_sympy(sympy, v):
+    return sympy.Rational(v.re.numerator, v.re.denominator) \
+        + sympy.I * sympy.Rational(v.im.numerator, v.im.denominator)
+
+
+@pytest.mark.parametrize("N, seed", [(4, 1), (5, 2), (6, 3)])
+def test_poisson_bracket_matches_sympy_derivatives(N, seed):
+    # independent oracle: sympy differentiates f_i = sum_{j != i} w_ij^2/(mu_i - mu_j)
+    # and evaluates the canonical bracket and every gradient at an exact
+    # off-shell point (no constraint imposed, Gaussian-rational marked points)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    mu = [gr(Fraction(k, 1 + k % 3), rng.randint(-2, 2)) for k in range(-2, N - 2)]
+    x = [gr(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(N)]
+    y = [gr(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(N)]
+    pt = PhasePoint(Pencil(mu, allow_small=True), x, y, check=False)
+    assert not dot(x, x).is_zero() and not dot(x, y).is_zero()  # off shell
+    X, Y = sympy.symbols(f"x0:{N}"), sympy.symbols(f"y0:{N}")
+    M = [_to_sympy(sympy, m) for m in mu]
+    at = {**{X[k]: _to_sympy(sympy, x[k]) for k in range(N)},
+          **{Y[k]: _to_sympy(sympy, y[k]) for k in range(N)}}
+    grads = []
+    for i in range(N):
+        f = sum((X[i] * Y[j] - X[j] * Y[i]) ** 2 / (M[i] - M[j]) for j in range(N) if j != i)
+        gx = [sympy.expand(sympy.diff(f, X[k]).subs(at)) for k in range(N)]
+        gy = [sympy.expand(sympy.diff(f, Y[k]).subs(at)) for k in range(N)]
+        grads.append((gx, gy))
+        assert [_to_sympy(sympy, v) for v in pt.bracket_grads[i][0]] == gx
+        assert [_to_sympy(sympy, v) for v in pt.bracket_grads[i][1]] == gy
+        assert any(gx) and any(gy)
+    for a, b in itertools.combinations(range(N), 2):
+        (ax, ay), (bx, by) = grads[a], grads[b]
+        want = sympy.expand(sum(ax[k] * by[k] - ay[k] * bx[k] for k in range(N)))
+        assert _to_sympy(sympy, poisson_bracket(pt, a, b)) == want
