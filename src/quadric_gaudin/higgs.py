@@ -22,24 +22,18 @@ Pinned normalizations (each certified exactly by the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .phase import PhasePoint, Pencil
-from .scalars import as_complex, close, gr, total
+from .scalars import as_complex, close, dot, gr, total
 from .unipoly import Polynomial
 
 Mat2 = tuple[tuple, tuple]
 
 
-def mat_add(a: Mat2, b: Mat2) -> Mat2:
-    return (
-        (a[0][0] + b[0][0], a[0][1] + b[0][1]),
-        (a[1][0] + b[1][0], a[1][1] + b[1][1]),
-    )
-
-
-def mat_scale(c, a: Mat2) -> Mat2:
-    return ((c * a[0][0], c * a[0][1]), (c * a[1][0], c * a[1][1]))
+def mat_combination(weights, mats) -> Mat2:
+    """sum_i w_i M_i, each entry one ``dot``: the order of a left-to-right sum of matrices."""
+    return tuple(tuple(dot(weights, [m[r][c] for m in mats]) for c in (0, 1)) for r in (0, 1))
 
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
@@ -89,10 +83,8 @@ class HiggsField:
             for i, m in enumerate(mu):
                 if z == m:
                     raise PoleEvaluationError(i)
-            self._at[z] = reduce(
-                mat_add,
-                (mat_scale(1 / (z - mu[i]), self.residue(i)) for i in range(self.pencil.N)),
-            )
+            rs = [self.residue(i) for i in range(self.pencil.N)]
+            self._at[z] = mat_combination([1 / (z - m) for m in mu], rs)
         return self._at[z]
 
     def trace_squared_at(self, z):
@@ -182,8 +174,8 @@ def infinity_expansion(point: PhasePoint) -> tuple[Mat2, Mat2]:
     """
     field = HiggsField(point)
     rs = [field.residue(i) for i in range(point.pencil.N)]
-    phi0 = reduce(mat_add, rs)
-    phi1 = reduce(mat_add, (mat_scale(m, r) for m, r in zip(point.pencil.mu, rs)))
+    phi0 = tuple(tuple(total(r[i][j] for r in rs) for j in (0, 1)) for i in (0, 1))
+    phi1 = mat_combination(point.pencil.mu, rs)
     return phi0, phi1
 
 

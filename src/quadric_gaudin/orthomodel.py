@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .linalg import Matrix, rank_kernel
 from .phase import PhasePoint, Pencil
-from .scalars import as_complex, close, dot, negligible, total
+from .scalars import as_complex, close, dot, negligible
 
 
 class PencilForm:
@@ -41,7 +41,7 @@ class PencilForm:
         return [z - m for m in self.pencil.mu]
 
     def apply(self, z, u, w):
-        return total(wt * ui * wi for wt, ui, wi in zip(self.weights(z), u, w))
+        return dot([wt * ui for wt, ui in zip(self.weights(z), u)], w)
 
     def degenerate_at(self, z) -> bool:
         return z in self.pencil.mu
@@ -63,15 +63,13 @@ def build_A(point: PhasePoint, z) -> Matrix:
     return Matrix(rows)
 
 
-def skew_adjoint_defect(point: PhasePoint, z) -> Matrix:
-    """D(z) A + A^T D(z); identically zero, constraints not even needed."""
-    A = build_A(point, z)
+def skew_adjoint_defect(point: PhasePoint, z, A: Matrix | None = None) -> Matrix:
+    """D(z) A + A^T D(z) for A = A(z), built here unless given; identically
+    zero, constraints not even needed."""
+    a = (build_A(point, z) if A is None else A).rows
     w = [z - m for m in point.pencil.mu]
     N = point.pencil.N
-    rows = []
-    for i in range(N):
-        rows.append([w[i] * A.rows[i][j] + A.rows[j][i] * w[j] for j in range(N)])
-    return Matrix(rows)
+    return Matrix([[dot((w[i], a[j][i]), (a[i][j], w[j])) for j in range(N)] for i in range(N)])
 
 
 def lift_vz(v, point: PhasePoint, z):
@@ -107,15 +105,15 @@ class EquivalenceReport:
         return sum(1 for s in self.samples if not s.skipped)
 
 
-def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
+def verify_equivalence(point: PhasePoint, z_samples, mats=None) -> EquivalenceReport:
     """:func:`phi_equivalence` on a new Higgs field of point; the Hecke triple
     and the Phi(z) values it caches are freed with it."""
     from .higgs import build_phi
 
-    return phi_equivalence(build_phi(point), z_samples)
+    return phi_equivalence(build_phi(point), z_samples, mats)
 
 
-def phi_equivalence(phi, z_samples) -> EquivalenceReport:
+def phi_equivalence(phi, z_samples, mats=None) -> EquivalenceReport:
     """Match A on the lifted frame with the Higgs field phi, exactly.
 
     At each sample z the coefficients of A in the basis (x_z, y_z) are read
@@ -127,10 +125,13 @@ def phi_equivalence(phi, z_samples) -> EquivalenceReport:
     frame is then dependent.  The Hecke triple and each Phi(z) are read from
     phi's caches, which depend only on the point's tuples x and y, so the
     ``verify`` command shares one field with its Hecke and trace checks.
+    mats, if given, holds A(z) for each sample in order; else each is built.
     """
     point = phi.point
-    x, y = point.x, point.y
-    if all(_close(x[i] * y[j], x[j] * y[i]) for i, j in combinations(range(len(x)), 2)):
+    x, y, w = point.x, point.y, point.pair_invariants
+    xs, ys = [as_complex(v) for v in x], [as_complex(v) for v in y]
+    if all(_close(w[i][j], 0, abs(xs[i] * ys[j]) + abs(xs[j] * ys[i]))
+           for i, j in combinations(range(len(x)), 2)):
         return EquivalenceReport(samples=tuple(
             EquivalenceSample(z=z, coefficients=(), phi_entries=(), frame_match=True,
                               hecke_match=True, skipped=True, note="y is proportional to x")
@@ -139,16 +140,16 @@ def phi_equivalence(phi, z_samples) -> EquivalenceReport:
     triple = phi.hecke
     pd = point.pencil.vanishing_poly()
     out = []
-    for z in z_samples:
+    for k, z in enumerate(z_samples):
         x_z = lift_vz(x, point, z)
         y_z = lift_vz(y, point, z)
-        A = build_A(point, z)
+        A = build_A(point, z) if mats is None else mats[k]
         m = phi.at(z)
         alpha, beta, gamma, delta = m[1][1], -m[0][1], -m[1][0], m[0][0]
         frame_ok = all(
-            _close(got, a * u + b * v)
-            for w, a, b in ((x_z, alpha, beta), (y_z, gamma, delta))
-            for got, u, v in zip(A.matvec(w), x_z, y_z)
+            _close(got, dot((a, b), (u, v)))
+            for v_z, a, b in ((x_z, alpha, beta), (y_z, gamma, delta))
+            for got, u, v in zip(A.matvec(v_z), x_z, y_z)
         )
         pdz = pd(z)
         hecke_ok = all(
@@ -193,7 +194,7 @@ def trivial_subbundle_probe(point: PhasePoint) -> SubbundleProbe:
     """
     x, mu = point.x, point.pencil.mu
     c1 = dot(x, x)
-    c2 = total(m * xi * xi for xi, m in zip(x, mu))
+    c2 = dot([m * xi for xi, m in zip(x, mu)], x)
     return SubbundleProbe(
         z1_coefficient=c1,
         z2_coefficient=c2,
@@ -201,7 +202,7 @@ def trivial_subbundle_probe(point: PhasePoint) -> SubbundleProbe:
     )
 
 
-def rank_and_kernel_of_A(point: PhasePoint, z, tol: float = 1e-9):
-    """Exact (or float) rank of A(z); contains x in the kernel, rank <= 2."""
-    A = build_A(point, z)
-    return rank_kernel(A, tol=tol)
+def rank_and_kernel_of_A(point: PhasePoint, z, tol: float = 1e-9, A: Matrix | None = None):
+    """Exact (or float) rank of A(z), built here unless given; contains x in
+    the kernel, rank <= 2."""
+    return rank_kernel(build_A(point, z) if A is None else A, tol=tol)

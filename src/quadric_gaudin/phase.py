@@ -66,6 +66,7 @@ class Pencil:
         self.N = len(mu)
         self.n = self.N - 3
         self._lagrange = None
+        self._vanishing = None
 
     @property
     def exact(self) -> bool:
@@ -75,8 +76,10 @@ class Pencil:
         return Pencil([as_complex(m) for m in self.mu], allow_small=True)
 
     def vanishing_poly(self) -> Polynomial:
-        """p_D(z) = prod (z - mu_i)."""
-        return Polynomial.from_roots(self.mu)
+        """p_D(z) = prod (z - mu_i), cached."""
+        if self._vanishing is None:
+            self._vanishing = Polynomial.from_roots(self.mu)
+        return self._vanishing
 
     def lagrange_numerators(self) -> list[Polynomial]:
         """L_i(z) = prod_{j != i} (z - mu_j), cached."""
@@ -215,8 +218,8 @@ def _bracket_grads(p: PhasePoint, i: int):
     """(d f_i/dx, d f_i/dy) at p, in closed form through the pair invariants."""
     mu, x, y, w = p.pencil.mu, p.x, p.y, p.pair_invariants[i]
     c = {j: (w[j] + w[j]) / (mu[i] - mu[j]) for j in range(p.pencil.N) if j != i}
-    gx = [total(c[j] * y[j] for j in c) if k == i else -c[k] * y[i] for k in range(p.pencil.N)]
-    gy = [-total(c[j] * x[j] for j in c) if k == i else c[k] * x[i] for k in range(p.pencil.N)]
+    gx = [dot(c.values(), (y[j] for j in c)) if k == i else -c[k] * y[i] for k in range(p.pencil.N)]
+    gy = [-dot(c.values(), (x[j] for j in c)) if k == i else c[k] * x[i] for k in range(p.pencil.N)]
     return gx, gy
 
 
@@ -226,11 +229,11 @@ def poisson_bracket(p: PhasePoint, a: int, b: int):
     Uses the closed-form gradients of f_i = sum_{j != i} w_ij^2/(mu_i-mu_j)
     through the pair invariants w_ij = x_i y_j - x_j y_i.  Both are cached on
     p (``PhasePoint.bracket_grads``), so the C(N, 2) brackets of a point
-    build its N gradients once and each bracket is one dot product.
+    build its N gradients once and each bracket is two dot products.
     """
     ax, ay = p.bracket_grads[a]
     bx, by = p.bracket_grads[b]
-    return total(ax[k] * by[k] - ay[k] * bx[k] for k in range(p.pencil.N))
+    return dot(ax, by) - dot(ay, bx)
 
 
 def bracket_mass(p: PhasePoint, a: int, b: int) -> float:

@@ -15,6 +15,7 @@ and ignore the tolerance.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -361,13 +362,52 @@ def one_like(v):
 
 
 def total(terms):
-    """Left-to-right sum of a non-empty iterable (fixes the float rounding)."""
-    return functools.reduce(operator.add, terms)
+    """Sum of a non-empty iterable: one fused sum (``_exact_dot``) when led by
+    an exact term, else left to right, which fixes the float rounding."""
+    it = iter(terms)
+    for first in it:
+        if isinstance(first, GaussianRational):
+            return _exact_dot(zip(itertools.chain((first,), it), itertools.repeat(ONE)))
+        return functools.reduce(operator.add, it, first)
+    raise TypeError("total() of an empty iterable")
 
 
 def dot(u, v):
-    """sum u_i v_i, left to right."""
-    return total(a * b for a, b in zip(u, v))
+    """sum u_i v_i: one fused sum when the first pair holds an exact scalar,
+    else left to right, like ``total``."""
+    it = zip(u, v)
+    for a, b in it:
+        if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
+            return _exact_dot(itertools.chain(((a, b),), it))
+        return functools.reduce(operator.add, (p * q for p, q in it), a * b)
+    raise TypeError("dot() of empty vectors")
+
+
+def _exact_dot(pairs) -> GaussianRational:
+    """sum u v with unreduced products: integer numerators over a running
+    common denominator, extended by a two-argument gcd only where a term's
+    differs, and one reduction at the end.  A float is a TypeError, as in *."""
+    A, B, D = 0, 0, 1
+    for u, v in pairs:
+        p, q, e = (u._a, u._b, u._d) if type(u) is GaussianRational else _operand(u)
+        a, b, d = (v._a, v._b, v._d) if type(v) is GaussianRational else _operand(v)
+        a, b, d = p * a - q * b, p * b + q * a, d * e
+        if d == D:
+            A += a
+            B += b
+        else:
+            g = _gcd(D, d)
+            d //= g
+            e = D // g
+            A, B, D = A * d + a * e, B * d + b * e, D * d
+    return _canon(A, B, D)
+
+
+def _operand(v) -> tuple:
+    t = _triple(v)
+    if t is None:
+        raise TypeError(f"cannot combine {type(v).__name__} with an exact scalar")
+    return t
 
 
 def negligible(v, tol: float, scale: float = 1.0) -> bool:

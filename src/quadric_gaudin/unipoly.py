@@ -11,7 +11,7 @@ import cmath
 import math
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ONE, as_complex, one_like, zero_like
+from .scalars import GaussianRational, ONE, as_complex, dot, one_like, zero_like
 
 NEG_INF = float("-inf")
 
@@ -49,12 +49,14 @@ class Polynomial:
     @staticmethod
     def from_roots(roots: Sequence, lead=None) -> "Polynomial":
         exact = all(isinstance(r, GaussianRational) for r in roots) and roots
-        p = Polynomial([ONE if exact else 1.0 + 0j])
+        one = ONE if exact else 1.0 + 0j
+        c = [one]
         for r in roots:
-            p = p * Polynomial.identity_shift(r)
-        if lead is not None:
-            p = p.scale(lead)
-        return p
+            # times z - r, adding terms as the full product does: c_{k-1} 1 + c_k (-r)
+            s = (one, -r)
+            c = [c[0] * s[1], *[dot(c[k - 1:k + 1], s) for k in range(1, len(c))], c[-1] * one]
+        p = Polynomial(c)
+        return p if lead is None else p.scale(lead)
 
     # -- structure ----------------------------------------------------------
 
@@ -114,12 +116,11 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial.zero()
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                ab = a * b
-                out[i + j] = ab if out[i + j] is None else out[i + j] + ab
-        return Polynomial(out)
+        # c_k = sum_i a_i b_{k-i} in ascending i: one dot per coefficient
+        a, rb = self.coeffs, other.coeffs[::-1]
+        n = len(rb) - 1
+        return Polynomial([dot(a[max(0, k - n):k + 1], rb[max(0, n - k):])
+                           for k in range(len(a) + n)])
 
     def scale(self, c) -> "Polynomial":
         return Polynomial([c * a for a in self.coeffs])

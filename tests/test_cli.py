@@ -644,6 +644,24 @@ def test_verify_computes_each_points_derived_data_once(capsys, monkeypatch):
     assert calls == {"_bracket_grads": 12, "hamiltonians": 2, "hecke_transform": 2}
 
 
+def test_orthomodel_checks_build_A_once_per_sample_z(capsys, monkeypatch):
+    # verify samples two values of z per point, orthomodel-verify three; the
+    # skew, kernel and rank checks share each A(z) with the equivalence check
+    from collections import Counter
+
+    from quadric_gaudin import orthomodel
+
+    calls = Counter()
+    _count_calls(monkeypatch, orthomodel, "build_A", calls)
+    code, out, _ = run(capsys, "verify", "--n", "6", "--trials", "2", "--seed", "3", "--skip-operators")
+    assert code == EXIT_OK
+    assert calls == {"build_A": 4}
+    calls.clear()
+    code, out, _ = run(capsys, "orthomodel-verify", "--n", "6", "--trials", "2", "--seed", "3")
+    assert code == EXIT_OK
+    assert calls == {"build_A": 6}
+
+
 def test_internal_non_finite_float_exits_70(capsys, monkeypatch):
     # a NaN computed inside the program is an internal failure, not a usage error
     from quadric_gaudin.higgs import HiggsField

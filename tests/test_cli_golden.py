@@ -6,7 +6,10 @@ The two runs with operator suites use their default degrees, the
 differential-order bounds of ``diffops`` (3 for the commutator suites, 1 for
 descent and the symbol pairing), so they pin those degrees and each line's
 ``complete`` field.  ``sample --mu`` pins the exact explicit-pencil sampler:
-one chord step from the pencil's seed point per trial.
+one chord step from the pencil's seed point per trial.  The two float runs
+at the end print rounding-level digits (the constraint residuals of each
+sample, the worst skew and kernel residual of ``A(z)``) that ``dot`` and
+``Matrix.matvec`` add up, so they pin the float summation order.
 """
 
 import hashlib
@@ -29,6 +32,8 @@ GOLDEN = [
     ("diffops-verify --n 5", 0, "5f79df90fe01c74402c5543a72afdf4f032143b26e1fc726b250a4e601164954"),
     ("orthomodel-verify --n 5 --trials 2 --seed 6", 0, "107895a7cccea30f9823c202559cf8418060047bd6b782ec448f7410768ac60e"),
     ("orthomodel-verify --n 6 --trials 2 --seed 6 --mode float", 0, "2122baa7022db0515b76f23cd2b24eafdbb9c8b4d462ae16aefd60ac5603e770"),
+    ("orthomodel-verify --n 8 --trials 3 --seed 1 --mode float", 0, "fbe66fffca3a3148d88c7c05a4c740f1f6e68f148c28778636ab0508e0973bf3"),
+    ("sample --mu 0,1,2,3,4,5 --trials 2 --mode float", 0, "2e200b5f8c4352e4e81d06a295503ea7d703f416026f9c58ec39c2ad937790be"),
 ]
 
 

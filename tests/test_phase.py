@@ -30,6 +30,13 @@ def test_pencil_invariants():
     assert p.N == 6 and p.n == 3
 
 
+def test_vanishing_poly_is_built_once_per_pencil():
+    p = Pencil([gr(k, 1) for k in range(6)])
+    pd = p.vanishing_poly()
+    assert p.vanishing_poly() is pd
+    assert all(pd(m).is_zero() for m in p.mu) and pd.degree == 6 and pd.lead() == gr(1)
+
+
 def test_fixture_constraints(pencil01234, fix_a, fix_b, fix_c):
     assert all(r.is_zero() for r in fix_c.constraint_residuals())
     ptb = PhasePoint(pencil01234, fix_b, fix_b)  # y = x is always valid
