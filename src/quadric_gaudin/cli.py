@@ -256,13 +256,12 @@ def _verify_one_point(pt: PhasePoint, tol: float, fault: str | None):
             tr_ok = False
     results.append(("trace-squared-identity", tr_ok, ""))
 
-    # A(z) once per sample: the skew and rank checks share A(zs[0]) with phi_equivalence
-    mats = [build_A(pt, z) for z in zs]
-    defect = skew_adjoint_defect(pt, zs[0], mats[0])
+    z = zs[0]
+    defect = skew_adjoint_defect(pt, z)
     skew_ok = all(negligible(v, tol) for row in defect.rows for v in row)
-    rank, _ = rank_and_kernel_of_A(pt, zs[0], tol=tol, A=mats[0])
+    rank, _ = rank_and_kernel_of_A(pt, z, tol=tol)
     probe = trivial_subbundle_probe(pt)
-    eq = phi_equivalence(phi, zs, mats)
+    eq = phi_equivalence(phi, zs)
     results.append(
         ("orthomodel", skew_ok and rank <= 2 and probe.both_vanish and eq.passed, "")
     )
@@ -396,20 +395,19 @@ def cmd_orthomodel_verify(args) -> int:
     failures = 0
     for trial, pt in enumerate(points):
         zs = off_pole_samples(pt.pencil, 3)
-        mats = [build_A(pt, z) for z in zs]
         worst = 0.0
         skew_ok = ax_ok = rank_ok = True
-        for z, A in zip(zs, mats):
-            defect = [v for row in skew_adjoint_defect(pt, z, A).rows for v in row]
-            ax = A.matvec(list(pt.x))
+        for z in zs:
+            defect = [v for row in skew_adjoint_defect(pt, z).rows for v in row]
+            ax = build_A(pt, z).matvec(list(pt.x))
             skew_ok = skew_ok and all(negligible(v, args.tol) for v in defect)
             ax_ok = ax_ok and all(negligible(v, args.tol, 10.0) for v in ax)
             if not pt.exact:
                 worst = max(worst, *(abs(as_complex(v)) for v in defect + ax))
-            rank, _ = rank_and_kernel_of_A(pt, z, tol=args.tol, A=A)
+            rank, _ = rank_and_kernel_of_A(pt, z, tol=args.tol)
             rank_ok = rank_ok and rank <= 2
         probe = trivial_subbundle_probe(pt)
-        eq = verify_equivalence(pt, zs, mats)
+        eq = verify_equivalence(pt, zs)
         doc = {
             "trial": trial,
             "skew_adjoint": skew_ok,

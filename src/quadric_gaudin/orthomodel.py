@@ -54,19 +54,18 @@ def _check_off_poles(pencil: Pencil, z):
 
 
 def build_A(point: PhasePoint, z) -> Matrix:
-    """A_ij = (x_i y_j - y_i x_j) / (z - mu_i) at z off the marked points."""
-    _check_off_poles(point.pencil, z)
-    rows = []
-    for w, m in zip(point.pair_invariants, point.pencil.mu):
-        inv = 1 / (z - m)
-        rows.append([v * inv for v in w])
-    return Matrix(rows)
+    """A_ij = (x_i y_j - y_i x_j) / (z - mu_i) at z off the marked points,
+    built once per z and point: the skew, rank and equivalence checks share it."""
+    if z not in point.A_at:
+        _check_off_poles(point.pencil, z)
+        invs = [1 / (z - m) for m in point.pencil.mu]
+        point.A_at[z] = Matrix([[v * inv for v in w] for w, inv in zip(point.pair_invariants, invs)])
+    return point.A_at[z]
 
 
-def skew_adjoint_defect(point: PhasePoint, z, A: Matrix | None = None) -> Matrix:
-    """D(z) A + A^T D(z) for A = A(z), built here unless given; identically
-    zero, constraints not even needed."""
-    a = (build_A(point, z) if A is None else A).rows
+def skew_adjoint_defect(point: PhasePoint, z) -> Matrix:
+    """D(z) A + A^T D(z); identically zero, constraints not even needed."""
+    a = build_A(point, z).rows
     w = [z - m for m in point.pencil.mu]
     N = point.pencil.N
     return Matrix([[dot((w[i], a[j][i]), (a[i][j], w[j])) for j in range(N)] for i in range(N)])
@@ -105,15 +104,15 @@ class EquivalenceReport:
         return sum(1 for s in self.samples if not s.skipped)
 
 
-def verify_equivalence(point: PhasePoint, z_samples, mats=None) -> EquivalenceReport:
+def verify_equivalence(point: PhasePoint, z_samples) -> EquivalenceReport:
     """:func:`phi_equivalence` on a new Higgs field of point; the Hecke triple
     and the Phi(z) values it caches are freed with it."""
     from .higgs import build_phi
 
-    return phi_equivalence(build_phi(point), z_samples, mats)
+    return phi_equivalence(build_phi(point), z_samples)
 
 
-def phi_equivalence(phi, z_samples, mats=None) -> EquivalenceReport:
+def phi_equivalence(phi, z_samples) -> EquivalenceReport:
     """Match A on the lifted frame with the Higgs field phi, exactly.
 
     At each sample z the coefficients of A in the basis (x_z, y_z) are read
@@ -125,12 +124,11 @@ def phi_equivalence(phi, z_samples, mats=None) -> EquivalenceReport:
     frame is then dependent.  The Hecke triple and each Phi(z) are read from
     phi's caches, which depend only on the point's tuples x and y, so the
     ``verify`` command shares one field with its Hecke and trace checks.
-    mats, if given, holds A(z) for each sample in order; else each is built.
     """
     point = phi.point
     x, y, w = point.x, point.y, point.pair_invariants
     xs, ys = [as_complex(v) for v in x], [as_complex(v) for v in y]
-    if all(_close(w[i][j], 0, abs(xs[i] * ys[j]) + abs(xs[j] * ys[i]))
+    if all(negligible(w[i][j], 1e-9, 1.0 + abs(xs[i] * ys[j]) + abs(xs[j] * ys[i]))
            for i, j in combinations(range(len(x)), 2)):
         return EquivalenceReport(samples=tuple(
             EquivalenceSample(z=z, coefficients=(), phi_entries=(), frame_match=True,
@@ -140,10 +138,10 @@ def phi_equivalence(phi, z_samples, mats=None) -> EquivalenceReport:
     triple = phi.hecke
     pd = point.pencil.vanishing_poly()
     out = []
-    for k, z in enumerate(z_samples):
+    for z in z_samples:
         x_z = lift_vz(x, point, z)
         y_z = lift_vz(y, point, z)
-        A = build_A(point, z) if mats is None else mats[k]
+        A = build_A(point, z)
         m = phi.at(z)
         alpha, beta, gamma, delta = m[1][1], -m[0][1], -m[1][0], m[0][0]
         frame_ok = all(
@@ -202,7 +200,6 @@ def trivial_subbundle_probe(point: PhasePoint) -> SubbundleProbe:
     )
 
 
-def rank_and_kernel_of_A(point: PhasePoint, z, tol: float = 1e-9, A: Matrix | None = None):
-    """Exact (or float) rank of A(z), built here unless given; contains x in
-    the kernel, rank <= 2."""
-    return rank_kernel(build_A(point, z) if A is None else A, tol=tol)
+def rank_and_kernel_of_A(point: PhasePoint, z, tol: float = 1e-9):
+    """Exact (or float) rank of A(z); contains x in the kernel, rank <= 2."""
+    return rank_kernel(build_A(point, z), tol=tol)

@@ -129,7 +129,8 @@ class Pencil:
 
 class PhasePoint:
     """A constrained pair (x, y) over a pencil, exact or float.  x and y are
-    tuples, so ``pair_invariants`` and ``bracket_grads``, derived from them
+    tuples, so ``pair_invariants``, ``bracket_grads`` and the matrices A(z)
+    by z in ``A_at`` (filled by ``orthomodel.build_A``), derived from them
     alone, are cached on the instance: a gauge-shifted point is a new
     instance with caches of its own."""
 
@@ -137,6 +138,7 @@ class PhasePoint:
         self.pencil = pencil
         self.x = tuple(x)
         self.y = tuple(y)
+        self.A_at = {}
         if len(self.x) != pencil.N or len(self.y) != pencil.N:
             raise ValueError("vector length must equal N")
         if any(is_exact(v) != pencil.exact for v in self.x + self.y):

@@ -386,11 +386,12 @@ def dot(u, v):
 def _exact_dot(pairs) -> GaussianRational:
     """sum u v with unreduced products: integer numerators over a running
     common denominator, extended by a two-argument gcd only where a term's
-    differs, and one reduction at the end.  A float is a TypeError, as in *."""
+    differs, and one reduction at the end.  A float has no triple: a
+    TypeError, as in *."""
     A, B, D = 0, 0, 1
     for u, v in pairs:
-        p, q, e = (u._a, u._b, u._d) if type(u) is GaussianRational else _operand(u)
-        a, b, d = (v._a, v._b, v._d) if type(v) is GaussianRational else _operand(v)
+        p, q, e = (u._a, u._b, u._d) if type(u) is GaussianRational else _triple(u)
+        a, b, d = (v._a, v._b, v._d) if type(v) is GaussianRational else _triple(v)
         a, b, d = p * a - q * b, p * b + q * a, d * e
         if d == D:
             A += a
@@ -401,13 +402,6 @@ def _exact_dot(pairs) -> GaussianRational:
             e = D // g
             A, B, D = A * d + a * e, B * d + b * e, D * d
     return _canon(A, B, D)
-
-
-def _operand(v) -> tuple:
-    t = _triple(v)
-    if t is None:
-        raise TypeError(f"cannot combine {type(v).__name__} with an exact scalar")
-    return t
 
 
 def negligible(v, tol: float, scale: float = 1.0) -> bool:

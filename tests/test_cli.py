@@ -646,20 +646,25 @@ def test_verify_computes_each_points_derived_data_once(capsys, monkeypatch):
 
 def test_orthomodel_checks_build_A_once_per_sample_z(capsys, monkeypatch):
     # verify samples two values of z per point, orthomodel-verify three; the
-    # skew, kernel and rank checks share each A(z) with the equivalence check
-    from collections import Counter
+    # skew, kernel and rank checks share each A(z) with the equivalence check,
+    # so build_A returns one matrix per point and z however often it is asked
+    from quadric_gaudin import cli, orthomodel
 
-    from quadric_gaudin import orthomodel
+    build_A, returned = orthomodel.build_A, []
 
-    calls = Counter()
-    _count_calls(monkeypatch, orthomodel, "build_A", calls)
+    def recorded(point, z):
+        returned.append(build_A(point, z))
+        return returned[-1]
+
+    monkeypatch.setattr(orthomodel, "build_A", recorded)
+    monkeypatch.setattr(cli, "build_A", recorded)
     code, out, _ = run(capsys, "verify", "--n", "6", "--trials", "2", "--seed", "3", "--skip-operators")
     assert code == EXIT_OK
-    assert calls == {"build_A": 4}
-    calls.clear()
+    assert len({id(A) for A in returned}) == 4 < len(returned)
+    returned.clear()
     code, out, _ = run(capsys, "orthomodel-verify", "--n", "6", "--trials", "2", "--seed", "3")
     assert code == EXIT_OK
-    assert calls == {"build_A": 6}
+    assert len({id(A) for A in returned}) == 6 < len(returned)
 
 
 def test_internal_non_finite_float_exits_70(capsys, monkeypatch):

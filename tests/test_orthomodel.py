@@ -139,3 +139,20 @@ def test_equivalence_coefficients_are_hecke_polynomials(fix_c):
         assert (beta * pd(s.z) + triple.c(s.z)).is_zero()
         assert (gamma * pd(s.z) + triple.a(s.z)).is_zero()
         assert (delta * pd(s.z) + triple.b(s.z)).is_zero()
+
+
+def test_nearly_proportional_exact_point_is_checked_not_skipped():
+    # y = x + 10^-12 y0 is constrained and every x_i y_j - x_j y_i is
+    # 10^-12 w0_ij: tiny but nonzero, so the exact samples are all checked
+    from fractions import Fraction
+
+    from quadric_gaudin.scalars import GaussianRational
+
+    pt0 = sample_phase_point(5, 7)
+    eps = GaussianRational(Fraction(1, 10**12))
+    pt = PhasePoint(pt0.pencil, pt0.x, [xi + eps * yi for xi, yi in zip(pt0.x, pt0.y)])
+    assert all(v == eps * v0 for row, row0 in zip(pt.pair_invariants, pt0.pair_invariants)
+               for v, v0 in zip(row, row0))
+    zs = off_pole_samples(pt.pencil, 3)
+    rep = verify_equivalence(pt, zs)
+    assert rep.checked == 3 and rep.passed
